@@ -21,7 +21,7 @@
 //!
 //! The original per-slot implementations are kept as `*_naive` reference
 //! functions; the workspace property tests assert the kernels are
-//! bit-identical to them, and `benches/kernel.rs` tracks the speedup.
+//! bit-identical to them, and `bench_report --suite kernel` tracks the speedup.
 
 use crate::compiled::CompiledSchedule;
 use crate::schedule::Schedule;
@@ -285,7 +285,7 @@ where
 ///
 /// These are the original (pre-kernel) loops over [`Schedule::channel_at`].
 /// They exist so the property tests can assert the block/compiled kernels
-/// are bit-identical, and so `benches/kernel.rs` can measure the speedup.
+/// are bit-identical, and so `bench_report --suite kernel` can measure the speedup.
 pub mod naive {
     use super::{Schedule, WorstCase};
 

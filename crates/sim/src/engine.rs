@@ -12,8 +12,8 @@
 //!    computed once, sharded into agent chunks; each fill task *returns*
 //!    its chunk's rows as an owned buffer, which the expansion barrier
 //!    publishes read-only to every resolve task ([`pool::ParentOutputs`])
-//!    — no atomics, so the fill loops autovectorize and the one-thread
-//!    engine runs the identical plain-`&mut [u64]` code inline.
+//!    — no atomics, so the fill loops autovectorize. At one thread the
+//!    barrier runs both waves inline on the caller's thread.
 //!    Schedules are prepared once per run
 //!    ([`PreparedSchedule::new_capped`], budgeted across the population)
 //!    and reused across every block. `0` marks not-yet-awake slots
@@ -72,7 +72,7 @@ const COMPILE_BUDGET_SLOTS: u64 = 1 << 23;
 /// bucket scan ~`agents · BLOCK` gather steps plus the regrouping and
 /// bucket-pair emissions — so the scan wins once each agent carries a
 /// few dozen pending pairs. 16 is the measured crossover on clustered
-/// populations (see `benches/multiuser.rs`); the exact value only
+/// populations (see `bench_report --suite multiuser`); the exact value only
 /// matters near the boundary, where the two modes cost the same.
 ///
 /// Public so density-aware consumers (the `bench_report` speedup gate)
@@ -343,21 +343,13 @@ impl RowLayout {
     }
 }
 
-/// Where a block's filled rows live: the one-thread engine's own chunk
-/// buffers, or the owned chunk buffers the fill barrier published
-/// ([`pool::ParentOutputs`]). Either way the rows are plain `&[u64]` —
-/// the resolve kernels never touch an atomic.
-#[derive(Clone, Copy)]
-enum RowChunks<'a> {
-    Seq(&'a [Vec<u64>]),
-    Barrier(pool::ParentOutputs<'a, Vec<u64>>),
-}
-
-/// Read-only access to every filled row of one block, whatever produced
-/// or laid them out.
+/// Read-only access to every filled row of one block: the owned chunk
+/// buffers the fill wave published through the expansion barrier
+/// ([`pool::ParentOutputs`]), as plain `&[u64]` — the resolve kernels
+/// never touch an atomic.
 #[derive(Clone, Copy)]
 struct BlockRows<'a> {
-    chunks: RowChunks<'a>,
+    chunks: pool::ParentOutputs<'a, Vec<u64>>,
     /// Agent index → (fill chunk, row index within the chunk). Entries
     /// of agents outside the block's in-play set are stale and never
     /// read (pending pairs only reference loaded agents).
@@ -368,12 +360,56 @@ struct BlockRows<'a> {
 impl<'a> BlockRows<'a> {
     fn row(&self, ai: usize) -> &'a [u64] {
         let (ci, k) = self.locate[ai];
-        let chunk: &'a [u64] = match self.chunks {
-            RowChunks::Seq(chunks) => &chunks[ci as usize],
-            RowChunks::Barrier(outputs) => outputs.get(ci as usize),
-        };
+        let chunk = self.chunks.get(ci as usize);
         &chunk[k as usize * self.row_words..(k as usize + 1) * self.row_words]
     }
+}
+
+/// One block step of the arena engine on one barrier tree: every fill
+/// task returns its agents' rows as an owned buffer, the barrier
+/// publishes them, and every resolve task reads them through
+/// [`BlockRows`]. Returns the resolve results in task order. With one
+/// thread [`pool::run_tree_barrier`] runs both waves inline on the
+/// caller's thread.
+fn fill_then_resolve<T, R>(
+    fill_tasks: &[&[u32]],
+    tasks: Vec<T>,
+    threads: usize,
+    locate: &[(u32, u32)],
+    row_words: usize,
+    fill: impl Fn(&[u32]) -> Vec<u64> + Sync,
+    resolve: impl Fn(&BlockRows<'_>, T) -> R + Sync,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+{
+    enum Parent<'a, T> {
+        Fill(&'a [u32]),
+        FanOut(Vec<T>),
+    }
+    let parents: Vec<Parent<T>> = fill_tasks
+        .iter()
+        .map(|&chunk| Parent::Fill(chunk))
+        .chain(std::iter::once(Parent::FanOut(tasks)))
+        .collect();
+    let mut out = pool::run_tree_barrier(
+        parents,
+        &ParallelConfig::with_threads(threads),
+        |_pi, p| match p {
+            Parent::Fill(chunk) => (fill(chunk), Vec::new()),
+            Parent::FanOut(tasks) => (Vec::new(), tasks),
+        },
+        |_path, task, chunks| {
+            let rows = BlockRows {
+                chunks,
+                locate,
+                row_words,
+            };
+            resolve(&rows, task)
+        },
+    );
+    out.pop().expect("the fan-out parent is always submitted").1
 }
 
 /// Fills `row` (one slot per entry) with the channels an agent hops for
@@ -748,79 +784,27 @@ impl Simulation {
                 }
                 rows
             };
-            let locate_ref = &locate;
             if use_bucket {
                 let slot_chunk = pool::chunk_size(len, threads);
                 let slot_tasks: Vec<Range<usize>> = (0..len)
                     .step_by(slot_chunk)
                     .map(|lo| lo..(lo + slot_chunk).min(len))
                     .collect();
-                let (met_ref, in_play_ref) = (&met, &in_play);
-                let found: Vec<(u32, u32, u64)> = if threads <= 1 {
-                    // One thread: fill and resolve inline through plain
-                    // slices — no pool, no barrier, no atomics.
-                    let chunk_rows: Vec<Vec<u64>> =
-                        fill_tasks.iter().map(|&chunk| fill_chunk(chunk)).collect();
-                    let rows = BlockRows {
-                        chunks: RowChunks::Seq(&chunk_rows),
-                        locate: locate_ref,
-                        row_words,
-                    };
-                    slot_tasks
-                        .into_iter()
-                        .flat_map(|slots| {
-                            bucket_scan(
-                                &rows,
-                                in_play_ref,
-                                met_ref,
-                                n,
-                                max_channel,
-                                slots,
-                                block_start,
-                            )
-                        })
-                        .collect()
-                } else {
-                    enum Parent<'a> {
-                        Fill(&'a [u32]),
-                        FanOut(Vec<Range<usize>>),
-                    }
-                    let parents: Vec<Parent> = fill_tasks
-                        .iter()
-                        .map(|&chunk| Parent::Fill(chunk))
-                        .chain(std::iter::once(Parent::FanOut(slot_tasks)))
-                        .collect();
-                    let mut out = pool::run_tree_barrier(
-                        parents,
-                        &ParallelConfig::with_threads(threads),
-                        |_pi, p| match p {
-                            Parent::Fill(chunk) => (fill_chunk(chunk), Vec::new()),
-                            Parent::FanOut(tasks) => (Vec::new(), tasks),
-                        },
-                        |_path, slots, outputs| {
-                            let rows = BlockRows {
-                                chunks: RowChunks::Barrier(outputs),
-                                locate: locate_ref,
-                                row_words,
-                            };
-                            bucket_scan(
-                                &rows,
-                                in_play_ref,
-                                met_ref,
-                                n,
-                                max_channel,
-                                slots,
-                                block_start,
-                            )
-                        },
-                    );
-                    let (_, results) = out.pop().expect("the fan-out parent is always submitted");
-                    results.into_iter().flatten().collect()
-                };
+                let found = fill_then_resolve(
+                    &fill_tasks,
+                    slot_tasks,
+                    threads,
+                    &locate,
+                    row_words,
+                    fill_chunk,
+                    |rows, slots| {
+                        bucket_scan(rows, &in_play, &met, n, max_channel, slots, block_start)
+                    },
+                );
                 // Tasks cover ascending slot ranges and emit in ascending
                 // slot order, so the first record of a pair is its first
                 // meeting of the block.
-                for (i, j, t) in found {
+                for (i, j, t) in found.into_iter().flatten() {
                     let (i, j) = (i as usize, j as usize);
                     let bit = pair_bit(i, j, n);
                     if !test_bit(&met, bit) {
@@ -838,70 +822,36 @@ impl Simulation {
                 // The pair kernel: word-parallel over the planes, or the
                 // slot-at-a-time scan on slotwise rows. Either way the
                 // rows are plain slices the compiler can vectorize over.
-                let resolve_chunk = |rows: &BlockRows<'_>, chunk: &[(usize, usize)]| {
-                    chunk
-                        .iter()
-                        .map(|&(i, j)| {
-                            let (ri, rj) = (rows.row(i), rows.row(j));
-                            match layout {
-                                RowLayout::Planes { nbits, words } => {
-                                    bitplane::first_match(ri, rj, nbits, words)
-                                        .map(|x| block_start + x as u64)
-                                }
-                                RowLayout::Slotwise => (0..len).find_map(|x| {
-                                    let c = ri[x];
-                                    if c != 0 && c == rj[x] {
-                                        Some(block_start + x as u64)
-                                    } else {
-                                        None
+                let results = fill_then_resolve(
+                    &fill_tasks,
+                    pair_tasks,
+                    threads,
+                    &locate,
+                    row_words,
+                    fill_chunk,
+                    |rows, chunk| {
+                        chunk
+                            .iter()
+                            .map(|&(i, j)| {
+                                let (ri, rj) = (rows.row(i), rows.row(j));
+                                match layout {
+                                    RowLayout::Planes { nbits, words } => {
+                                        bitplane::first_match(ri, rj, nbits, words)
+                                            .map(|x| block_start + x as u64)
                                     }
-                                }),
-                            }
-                        })
-                        .collect::<Vec<Option<u64>>>()
-                };
-                let results: Vec<Vec<Option<u64>>> = if threads <= 1 {
-                    // One thread: fill and resolve inline through plain
-                    // slices — no pool, no barrier, no atomics.
-                    let chunk_rows: Vec<Vec<u64>> =
-                        fill_tasks.iter().map(|&chunk| fill_chunk(chunk)).collect();
-                    let rows = BlockRows {
-                        chunks: RowChunks::Seq(&chunk_rows),
-                        locate: locate_ref,
-                        row_words,
-                    };
-                    pair_tasks
-                        .iter()
-                        .map(|&chunk| resolve_chunk(&rows, chunk))
-                        .collect()
-                } else {
-                    enum Parent<'a> {
-                        Fill(&'a [u32]),
-                        FanOut(Vec<&'a [(usize, usize)]>),
-                    }
-                    let parents: Vec<Parent> = fill_tasks
-                        .iter()
-                        .map(|&chunk| Parent::Fill(chunk))
-                        .chain(std::iter::once(Parent::FanOut(pair_tasks)))
-                        .collect();
-                    let mut out = pool::run_tree_barrier(
-                        parents,
-                        &ParallelConfig::with_threads(threads),
-                        |_pi, p| match p {
-                            Parent::Fill(chunk) => (fill_chunk(chunk), Vec::new()),
-                            Parent::FanOut(tasks) => (Vec::new(), tasks),
-                        },
-                        |_path, chunk, outputs| {
-                            let rows = BlockRows {
-                                chunks: RowChunks::Barrier(outputs),
-                                locate: locate_ref,
-                                row_words,
-                            };
-                            resolve_chunk(&rows, chunk)
-                        },
-                    );
-                    out.pop().expect("the fan-out parent is always submitted").1
-                };
+                                    RowLayout::Slotwise => (0..len).find_map(|x| {
+                                        let c = ri[x];
+                                        if c != 0 && c == rj[x] {
+                                            Some(block_start + x as u64)
+                                        } else {
+                                            None
+                                        }
+                                    }),
+                                }
+                            })
+                            .collect::<Vec<Option<u64>>>()
+                    },
+                );
                 let mut outcomes = results.into_iter().flatten();
                 let track_met = !met.is_empty();
                 pending.retain(|&(i, j)| {
@@ -1602,5 +1552,46 @@ mod tests {
             assert!(plan.agent_window(i).contains(t), "agent {i} not in play");
             assert!(plan.agent_window(j).contains(t), "agent {j} not in play");
         }
+    }
+
+    #[test]
+    fn bucket_scan_hash_filter_matches_pair_major() {
+        // Past 11 585 agents the met bitset outgrows the per-task clone
+        // budget, so bucket tasks filter emissions through the hash set.
+        // Two random channels out of 60 000 keep the overlaps sparse;
+        // wakes past the block leave some pairs unmet.
+        let n = 11_600usize;
+        assert!((n * (n - 1) / 2).div_ceil(64) > LOCAL_FILTER_MAX_WORDS);
+        let agents: Vec<Agent> = (0..n as u64)
+            .map(|i| {
+                let seed = pool::stream_seed(7, i);
+                let (a, b) = (1 + seed % 60_000, 1 + (seed >> 32) % 60_000);
+                agent(Algorithm::Random, 60_000, &[a, b], (seed >> 16) % 640, seed)
+            })
+            .collect();
+        let sim = Simulation::new(agents);
+        let horizon = BLOCK as u64;
+        let bucket = sim.run_engine(
+            horizon,
+            &EngineConfig {
+                parallel: ParallelConfig::with_threads(2),
+                mode: ResolveMode::BucketScan,
+                ..EngineConfig::default()
+            },
+        );
+        let reference = sim.run_engine(
+            horizon,
+            &EngineConfig {
+                parallel: ParallelConfig::with_threads(1),
+                mode: ResolveMode::PairMajor,
+                plane: PlanePolicy::Slotwise,
+                faults: None,
+            },
+        );
+        assert!(
+            !bucket.first_meeting.is_empty() && !bucket.missed.is_empty(),
+            "the population must both meet and miss within one block"
+        );
+        assert_eq!(bucket, reference);
     }
 }

@@ -871,10 +871,17 @@ fn arena_speedups(suite: &Suite) -> Vec<(u64, f64)> {
         .collect()
 }
 
+/// Reports a bad command line in one line and exits 2, before any suite
+/// runs — the usage-error code `repro` uses too.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // A present flag with a missing (or flag-shaped) value, and any
-    // argument that is not a recognized flag, is a hard error: silently
+    // argument that is not a recognized flag, is a usage error: silently
     // ignoring either would turn the CI perf gate into a no-op (e.g. a
     // typoed `--min-arena-speed` would drop the speedup floor with a
     // green exit).
@@ -896,7 +903,9 @@ fn main() {
         if VALUE_FLAGS.contains(&arg.as_str()) {
             expect_value = true;
         } else if arg != "--smoke" {
-            panic!("unrecognized argument {arg} (see the module docs for the flag list)");
+            usage_error(&format!(
+                "unrecognized argument {arg} (see the module docs for the flag list)"
+            ));
         }
     }
     let flag_value = |name: &str| {
@@ -904,7 +913,7 @@ fn main() {
             .position(|a| a == name)
             .map(|i| match args.get(i + 1) {
                 Some(v) if !v.starts_with("--") => v.clone(),
-                _ => panic!("{name} requires a value"),
+                _ => usage_error(&format!("{name} requires a value")),
             })
     };
     let baseline_paths: Vec<String> = args
@@ -913,18 +922,25 @@ fn main() {
         .filter(|&(_, a)| a == "--baseline")
         .map(|(i, _)| match args.get(i + 1) {
             Some(v) if !v.starts_with("--") => v.clone(),
-            _ => panic!("--baseline requires a value"),
+            _ => usage_error("--baseline requires a value"),
         })
         .collect();
-    let max_regression_pct: f64 = flag_value("--max-regression-pct")
-        .map(|v| v.parse().expect("--max-regression-pct takes a number"))
-        .unwrap_or(30.0);
-    let mut min_arena_speedup: Option<f64> = flag_value("--min-arena-speedup")
-        .map(|v| v.parse().expect("--min-arena-speedup takes a number"));
-    let mut min_tree_speedup: Option<f64> = flag_value("--min-tree-speedup")
-        .map(|v| v.parse().expect("--min-tree-speedup takes a number"));
-    let mut min_bitplane_speedup: Option<f64> = flag_value("--min-bitplane-speedup")
-        .map(|v| v.parse().expect("--min-bitplane-speedup takes a number"));
+    let number = |name: &str| {
+        flag_value(name).map(|v| {
+            v.parse::<f64>()
+                .unwrap_or_else(|_| usage_error(&format!("{name} takes a number (got {v})")))
+        })
+    };
+    let max_regression_pct = number("--max-regression-pct").unwrap_or(30.0);
+    let mut min_arena_speedup = number("--min-arena-speedup");
+    let mut min_tree_speedup = number("--min-tree-speedup");
+    let mut min_bitplane_speedup = number("--min-bitplane-speedup");
+    let suite_filter = flag_value("--suite").unwrap_or_else(|| "all".to_string());
+    if !["kernel", "multiuser", "tree", "faults", "all"].contains(&suite_filter.as_str()) {
+        usage_error(&format!(
+            "--suite takes kernel, multiuser, tree, faults, or all (got {suite_filter})"
+        ));
+    }
     let history_path: Option<String> = flag_value("--history");
     // Single-core honesty: a 1-hardware-thread host cannot overlap work,
     // so parallel-vs-sequential speedup ratios only measure the
@@ -956,7 +972,6 @@ fn main() {
             );
         }
     }
-    let suite_filter = flag_value("--suite").unwrap_or_else(|| "all".to_string());
     let out_dir = flag_value("--out-dir").unwrap_or_else(|| ".".to_string());
     let smoke = args.iter().any(|a| a == "--smoke");
 
@@ -972,9 +987,6 @@ fn main() {
     }
     if suite_filter == "faults" || suite_filter == "all" {
         suites.push(faults_suite(smoke));
-    }
-    if suites.is_empty() {
-        panic!("--suite takes kernel, multiuser, tree, faults, or all (got {suite_filter})");
     }
 
     std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("creating {out_dir}: {e}"));

@@ -1460,7 +1460,7 @@ pub mod faults {
         // (a panicking cell is recorded and released, never propagated),
         // with a completion sink journaling each cell the moment its
         // worker finishes it — the pipeline's actual crash-safety point.
-        let results = pool::run_indexed_quarantined_sink(
+        let results = pool::run_indexed_quarantined(
             todo.clone(),
             &ParallelConfig { threads },
             |_task, idx| {

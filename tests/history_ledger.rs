@@ -428,3 +428,26 @@ fn bench_speedup_gates_skip_loudly_on_single_core_hosts() {
         "gate points keyed by bench id column"
     );
 }
+
+#[test]
+fn bench_report_usage_errors_exit_2_without_a_panic() {
+    // Arguments are parsed before any suite runs, so each call is cheap.
+    for args in [
+        &["--bogus"][..],
+        &["--suite"],
+        &["--suite", "kernel", "--baseline"],
+        &["--max-regression-pct", "lots"],
+        &["--min-arena-speedup", "fast"],
+        &["--suite", "everything"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bench_report"))
+            .args(args)
+            .output()
+            .expect("run bench_report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: one-line message");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no suite ran");
+    }
+}
