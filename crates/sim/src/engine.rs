@@ -5,15 +5,15 @@
 //! # The shared block arena
 //!
 //! The engine advances time in blocks of `BLOCK` (512) slots. Each block
-//! is a barrier tree step on the work-stealing orchestrator
-//! ([`pool::run_tree_barrier`]):
+//! runs as two flat waves on the work-stealing orchestrator
+//! ([`pool::run_indexed`]):
 //!
 //! 1. **Fill** — every in-play agent's channels for the block are
 //!    computed once, sharded into agent chunks; each fill task *returns*
-//!    its chunk's rows as an owned buffer, which the expansion barrier
-//!    publishes read-only to every resolve task ([`pool::ParentOutputs`])
-//!    — no atomics, so the fill loops autovectorize. At one thread the
-//!    barrier runs both waves inline on the caller's thread.
+//!    its chunk's rows as an owned buffer, and the resolve wave borrows
+//!    the buffers read-only once the fill wave has joined — no atomics,
+//!    so the fill loops autovectorize. At one thread both waves run
+//!    inline on the caller's thread.
 //!    Schedules are prepared once per run
 //!    ([`PreparedSchedule::new_capped`], budgeted across the population)
 //!    and reused across every block. `0` marks not-yet-awake slots
@@ -344,12 +344,10 @@ impl RowLayout {
 }
 
 /// Read-only access to every filled row of one block: the owned chunk
-/// buffers the fill wave published through the expansion barrier
-/// ([`pool::ParentOutputs`]), as plain `&[u64]` — the resolve kernels
-/// never touch an atomic.
-#[derive(Clone, Copy)]
+/// buffers the fill wave returned, as plain `&[u64]` — the resolve
+/// kernels never touch an atomic.
 struct BlockRows<'a> {
-    chunks: pool::ParentOutputs<'a, Vec<u64>>,
+    chunks: &'a [Vec<u64>],
     /// Agent index → (fill chunk, row index within the chunk). Entries
     /// of agents outside the block's in-play set are stale and never
     /// read (pending pairs only reference loaded agents).
@@ -360,19 +358,18 @@ struct BlockRows<'a> {
 impl<'a> BlockRows<'a> {
     fn row(&self, ai: usize) -> &'a [u64] {
         let (ci, k) = self.locate[ai];
-        let chunk = self.chunks.get(ci as usize);
+        let chunk = &self.chunks[ci as usize];
         &chunk[k as usize * self.row_words..(k as usize + 1) * self.row_words]
     }
 }
 
-/// One block step of the arena engine on one barrier tree: every fill
-/// task returns its agents' rows as an owned buffer, the barrier
-/// publishes them, and every resolve task reads them through
-/// [`BlockRows`]. Returns the resolve results in task order. With one
-/// thread [`pool::run_tree_barrier`] runs both waves inline on the
-/// caller's thread.
+/// One block step of the arena engine as two [`pool::run_indexed`]
+/// waves: every fill task returns its agents' rows as an owned buffer,
+/// then every resolve task reads them through [`BlockRows`]. Returns the
+/// resolve results in task order. With one thread both waves run inline
+/// on the caller's thread.
 fn fill_then_resolve<T, R>(
-    fill_tasks: &[&[u32]],
+    fill_tasks: Vec<&[u32]>,
     tasks: Vec<T>,
     threads: usize,
     locate: &[(u32, u32)],
@@ -384,32 +381,14 @@ where
     T: Send,
     R: Send,
 {
-    enum Parent<'a, T> {
-        Fill(&'a [u32]),
-        FanOut(Vec<T>),
-    }
-    let parents: Vec<Parent<T>> = fill_tasks
-        .iter()
-        .map(|&chunk| Parent::Fill(chunk))
-        .chain(std::iter::once(Parent::FanOut(tasks)))
-        .collect();
-    let mut out = pool::run_tree_barrier(
-        parents,
-        &ParallelConfig::with_threads(threads),
-        |_pi, p| match p {
-            Parent::Fill(chunk) => (fill(chunk), Vec::new()),
-            Parent::FanOut(tasks) => (Vec::new(), tasks),
-        },
-        |_path, task, chunks| {
-            let rows = BlockRows {
-                chunks,
-                locate,
-                row_words,
-            };
-            resolve(&rows, task)
-        },
-    );
-    out.pop().expect("the fan-out parent is always submitted").1
+    let cfg = ParallelConfig::with_threads(threads);
+    let chunks = pool::run_indexed(fill_tasks, &cfg, |_, chunk| fill(chunk));
+    let rows = BlockRows {
+        chunks: &chunks,
+        locate,
+        row_words,
+    };
+    pool::run_indexed(tasks, &cfg, |_, task| resolve(&rows, task))
 }
 
 /// Fills `row` (one slot per entry) with the channels an agent hops for
@@ -756,8 +735,8 @@ impl Simulation {
             let plan_ref = plan.as_ref();
             // Phase 1: each fill task computes its agents' masked rows
             // for the block and *returns* them as one owned buffer (in
-            // the block's layout) — the expansion barrier publishes the
-            // buffers read-only to every resolve task.
+            // the block's layout) — the resolve wave reads the buffers
+            // read-only.
             let fill_chunk = move |chunk: &[u32]| -> Vec<u64> {
                 let mut rows: Vec<u64> = Vec::with_capacity(chunk.len() * row_words);
                 let mut scratch = [0u64; BLOCK];
@@ -791,7 +770,7 @@ impl Simulation {
                     .map(|lo| lo..(lo + slot_chunk).min(len))
                     .collect();
                 let found = fill_then_resolve(
-                    &fill_tasks,
+                    fill_tasks,
                     slot_tasks,
                     threads,
                     &locate,
@@ -823,7 +802,7 @@ impl Simulation {
                 // slot-at-a-time scan on slotwise rows. Either way the
                 // rows are plain slices the compiler can vectorize over.
                 let results = fill_then_resolve(
-                    &fill_tasks,
+                    fill_tasks,
                     pair_tasks,
                     threads,
                     &locate,

@@ -12,15 +12,14 @@
 //!   plane-eligible universes) and resolves all pending pairs over the
 //!   shared arena, with a density-adaptive bucket-scan resolution mode
 //!   for dense populations.
-//! * [`pool`] — the work-stealing parallel orchestrator: deterministic
-//!   task-indexed sharding over the vendored crossbeam deques, the
-//!   general task-tree API (`run_tree`) nested sweeps submit whole grids
-//!   through, and its barrier variant (`run_tree_barrier`) behind the
-//!   arena engine's fill/resolve split, with bit-identical results at
-//!   every thread count.
+//! * [`pool`] — the work-stealing parallel orchestrator: one scheduler,
+//!   deterministic task-indexed sharding over the vendored crossbeam
+//!   deques (`run_indexed`), with bit-identical results at every thread
+//!   count. Sweep grids and the arena engine's fill/resolve block step
+//!   each run as two flat waves on it.
 //! * [`sweep`] — pairwise worst/mean time-to-rendezvous sweeps over shifts
-//!   and seeds, submitted to [`pool`] as task trees (cells are parents,
-//!   `(shift × seed)` chunks are children).
+//!   and seeds: one wave plans every cell, a second evaluates the
+//!   `(shift × seed)` chunks of all cells.
 //! * [`stats`] — means, percentiles, and the log-log growth-exponent fits
 //!   used to check the paper's asymptotic claims empirically.
 
@@ -40,7 +39,7 @@ pub use engine::{
     EngineConfig, MeetingMap, MeetingReport, MissCause, MissedPair, PlanePolicy, ResolveMode,
     Simulation,
 };
-pub use pool::{ParallelConfig, TaskPanic, TreePath};
+pub use pool::{ParallelConfig, TaskPanic};
 pub use rdv_core::fault::{FaultPlan, FaultProfile, InPlayWindow};
 pub use sweep::{
     sweep_lower_bound, sweep_lower_grid, sweep_pair_grid, sweep_pair_ttr, LowerBoundSweep,

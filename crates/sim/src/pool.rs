@@ -10,41 +10,35 @@
 //! [`crossbeam::deque`] stand-in) and lets idle workers steal, so the
 //! longest task — not the longest *chunk* — bounds the critical path.
 //!
-//! Four entry points share that discipline:
+//! One scheduler runs that discipline, [`run_indexed`]: a flat task list,
+//! results in task order. [`run_indexed_quarantined`] is the same run with
+//! each task's panic recorded as a [`TaskPanic`] in its slot and a
+//! completion sink fired per task, the runner the faulted pipeline grid
+//! journals through.
 //!
-//! * [`run_indexed`] — a flat task list, results in task order;
-//! * [`run_indexed_quarantined`] — the same flat run with each task's
-//!   panic recorded as a [`TaskPanic`] in its slot and a completion sink
-//!   fired per task, the runner the faulted pipeline grid journals
-//!   through;
-//! * [`run_tree`] — a **task tree**: a forest of parent tasks, each
-//!   expanding *on a worker* into child tasks that are scheduled across
-//!   the same pool, so stealing crosses parent boundaries (a nested sweep
-//!   submits its whole grid at once instead of one pool per cell);
-//! * [`run_tree_barrier`] — the same tree with an **expansion barrier**:
-//!   every parent expands (and publishes its owned output) before any
-//!   child runs, and every child reads all parent outputs through
-//!   [`ParentOutputs`] — the producer/consumer bulk step of the
-//!   shared-arena engines, with owned published values instead of a
-//!   shared atomic arena.
+//! Multi-level jobs run as **two flat waves**. A sweep grid first builds
+//! every cell's plan in one [`run_indexed`] call, then evaluates the
+//! `(cell, sample range)` chunks of all planned cells in a second one, so
+//! stealing crosses cell boundaries. The arena engine's block step first
+//! fills every agent chunk's rows in one call, then resolves all pending
+//! pairs over those rows in a second. The join between the waves is the
+//! barrier: the second wave borrows the first wave's owned outputs
+//! read-only, with no shared mutable state and no atomics.
 //!
 //! # Determinism
 //!
 //! Results are **bit-identical across thread counts** by construction:
 //!
-//! * every task carries its grid index — or its `(parent, child)` path in
-//!   a tree — and results are merged back in index order, so downstream
-//!   consumers never observe scheduling order;
+//! * every task carries its index and results are merged back in index
+//!   order, so downstream consumers never observe scheduling order;
 //! * tasks never share mutable state — schedules are compiled once before
 //!   the fan-out and shared read-only (see
 //!   [`rdv_core::compiled::PreparedSchedule`]);
-//! * randomized tasks derive their RNG stream from [`stream_seed`] (flat
-//!   grids) or [`tree_seed`] (tree children), a SplitMix64 mix of the
-//!   experiment seed and the task's position — a pure function of *which*
-//!   task, never of *where* or *when* it ran.
+//! * randomized tasks derive their RNG stream from [`stream_seed`], a
+//!   SplitMix64 mix of the experiment seed and the task's position — a
+//!   pure function of *which* task, never of *where* or *when* it ran.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Thread-count policy for the parallel orchestrator.
 ///
@@ -68,8 +62,9 @@ impl ParallelConfig {
 
     /// The requested worker count before any task-count clamp: an explicit
     /// `threads`, else the `RDV_THREADS` environment override, else
-    /// [`std::thread::available_parallelism`]. This is what sizes a
-    /// [`run_tree`] pool, whose child-task count is unknown at submission.
+    /// [`std::thread::available_parallelism`]. This is what sizes the
+    /// chunks of a job whose task count is only known after its first
+    /// wave (a sweep grid's sample chunks).
     pub fn requested_threads(&self) -> usize {
         if self.threads != 0 {
             return self.threads;
@@ -128,40 +123,6 @@ pub fn stream_seed(base: u64, task_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives the RNG stream seed of the child at `(parent, child)` within a
-/// task-tree submission — one [`stream_seed`] application per tree level,
-/// so the seed is a pure function of the task's *path* and never of where
-/// or when the task ran.
-///
-/// For a fixed parent the child streams are collision-free (the inner
-/// [`stream_seed`] is bijective in the child index), and each parent's
-/// stream family starts from its own avalanche-mixed base; the path
-/// distinctness of every grid shape the workspace submits is pinned by
-/// `tests/task_tree.rs`.
-pub fn tree_seed(base: u64, parent: u64, child: u64) -> u64 {
-    stream_seed(stream_seed(base, parent), child)
-}
-
-/// The position of a child task within a [`run_tree`] submission: the
-/// parent's index in the submitted forest and the child's index within
-/// that parent's expansion — the pair the deterministic merge orders by,
-/// and the path [`Self::stream_seed`] derives RNG streams from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TreePath {
-    /// Index of the parent task in the submitted forest.
-    pub parent: usize,
-    /// Index of this child within its parent's expansion.
-    pub child: usize,
-}
-
-impl TreePath {
-    /// The child's RNG stream seed under experiment seed `base` — see
-    /// [`tree_seed`].
-    pub fn stream_seed(&self, base: u64) -> u64 {
-        tree_seed(base, self.parent as u64, self.child as u64)
-    }
-}
-
 /// One round of the work-stealing discipline: the worker's own deque,
 /// then a batch refill from the injector, then robbing a sibling,
 /// retrying lost races. Returns `None` only when every queue was
@@ -194,51 +155,6 @@ fn find_task<T>(
             break 'find None;
         }
     })
-}
-
-/// A panic-safe barrier arrival: the worker announces phase completion
-/// through [`Self::arrive`]; if it unwinds first, `Drop` announces for it
-/// so siblings spinning on the arrival count are released instead of
-/// deadlocking (the panic then propagates at scope join).
-struct Arrival<'a> {
-    arrivals: &'a AtomicUsize,
-    armed: bool,
-}
-
-impl<'a> Arrival<'a> {
-    fn new(arrivals: &'a AtomicUsize) -> Self {
-        Arrival {
-            arrivals,
-            armed: true,
-        }
-    }
-
-    fn arrive(&mut self) {
-        if self.armed {
-            self.armed = false;
-            self.arrivals.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-}
-
-impl Drop for Arrival<'_> {
-    fn drop(&mut self) {
-        self.arrive();
-    }
-}
-
-/// Sets the shared poison flag if its holder unwinds, so sibling workers
-/// spinning on a tree's pending-task count exit instead of waiting forever
-/// for tasks the dead worker will never finish (the panic then propagates
-/// at scope join).
-struct PoisonOnPanic<'a>(&'a AtomicBool);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
-    }
 }
 
 /// Runs `f` over every `(index, task)` on a work-stealing thread pool and
@@ -306,432 +222,6 @@ where
     debug_assert_eq!(indexed.len(), n_tasks, "orchestrator lost tasks");
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// The eager scheduler behind [`run_tree`]: one pool of `threads` workers
-/// draining a parent injector and a child injector with the [`find_task`]
-/// stealing discipline.
-///
-/// Children become stealable the moment their parent expands, so a slow
-/// parent never serializes its siblings' children. Termination is
-/// certified by a pending-task count (queues can be momentarily empty
-/// while a sibling is about to push freshly expanded children), with a
-/// poison flag releasing the spin if a worker dies mid-task.
-/// [`run_tree_barrier`] is the sibling scheduler that *does* interpose an
-/// expansion barrier between the levels.
-///
-/// With one thread this collapses to the literal sequential nested loops
-/// — the reference semantics `tests/task_tree.rs` property-tests the
-/// parallel runs against.
-fn run_tree_impl<P, PR, C, R, E, F>(
-    threads: usize,
-    parents: Vec<P>,
-    expand: &E,
-    child: &F,
-) -> Vec<(PR, Vec<R>)>
-where
-    P: Send,
-    PR: Send,
-    C: Send,
-    R: Send,
-    E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
-    F: Fn(TreePath, C) -> R + Sync,
-{
-    let n_parents = parents.len();
-    if threads <= 1 {
-        return parents
-            .into_iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                let (pr, kids) = expand(pi, p);
-                let rs = kids
-                    .into_iter()
-                    .enumerate()
-                    .map(|(ci, c)| {
-                        child(
-                            TreePath {
-                                parent: pi,
-                                child: ci,
-                            },
-                            c,
-                        )
-                    })
-                    .collect();
-                (pr, rs)
-            })
-            .collect();
-    }
-
-    let inj_p = Injector::new();
-    for task in parents.into_iter().enumerate() {
-        inj_p.push(task);
-    }
-    let inj_c: Injector<(TreePath, C)> = Injector::new();
-    let workers_p: Vec<Worker<(usize, P)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers_p: Vec<Stealer<(usize, P)>> = workers_p.iter().map(Worker::stealer).collect();
-    let workers_c: Vec<Worker<(TreePath, C)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers_c: Vec<Stealer<(TreePath, C)>> = workers_c.iter().map(Worker::stealer).collect();
-    let pending = AtomicUsize::new(n_parents);
-    let poisoned = AtomicBool::new(false);
-
-    type Rows<PR, R> = (Vec<(usize, PR)>, Vec<(TreePath, R)>);
-    let (mut parent_rows, mut child_rows): Rows<PR, R> = crossbeam::scope(|scope| {
-        let (inj_p, inj_c) = (&inj_p, &inj_c);
-        let (stealers_p, stealers_c) = (&stealers_p, &stealers_c);
-        let (pending, poisoned) = (&pending, &poisoned);
-        let handles: Vec<_> = workers_p
-            .into_iter()
-            .zip(workers_c)
-            .enumerate()
-            .map(|(me, (wp, wc))| {
-                scope.spawn(move |_| {
-                    let _poison = PoisonOnPanic(poisoned);
-                    let mut parent_out: Vec<(usize, PR)> = Vec::new();
-                    let mut child_out: Vec<(TreePath, R)> = Vec::new();
-                    let mut idle_rounds = 0u32;
-                    loop {
-                        if let Some((pi, p)) = find_task(me, &wp, inj_p, stealers_p) {
-                            let (pr, kids) = expand(pi, p);
-                            // Registering the children before
-                            // retiring their parent keeps the
-                            // pending count from touching zero
-                            // while work remains unscheduled.
-                            pending.fetch_add(kids.len(), Ordering::AcqRel);
-                            for (ci, c) in kids.into_iter().enumerate() {
-                                inj_c.push((
-                                    TreePath {
-                                        parent: pi,
-                                        child: ci,
-                                    },
-                                    c,
-                                ));
-                            }
-                            parent_out.push((pi, pr));
-                            pending.fetch_sub(1, Ordering::AcqRel);
-                            idle_rounds = 0;
-                            continue;
-                        }
-                        if let Some((path, c)) = find_task(me, &wc, inj_c, stealers_c) {
-                            child_out.push((path, child(path, c)));
-                            pending.fetch_sub(1, Ordering::AcqRel);
-                            idle_rounds = 0;
-                            continue;
-                        }
-                        if pending.load(Ordering::Acquire) == 0 || poisoned.load(Ordering::Acquire)
-                        {
-                            break;
-                        }
-                        // Idle back-off: spin-yield while a refill
-                        // is likely imminent, then nap so starved
-                        // workers (e.g. more workers than cores)
-                        // stop taxing the queues the busy ones are
-                        // pushing through.
-                        idle_rounds += 1;
-                        if idle_rounds < 64 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(std::time::Duration::from_micros(20));
-                        }
-                    }
-                    (parent_out, child_out)
-                })
-            })
-            .collect();
-        let mut parent_rows: Vec<(usize, PR)> = Vec::with_capacity(n_parents);
-        let mut child_rows: Vec<(TreePath, R)> = Vec::new();
-        for h in handles {
-            let (ps, cs) = h.join().expect("tree worker panicked");
-            parent_rows.extend(ps);
-            child_rows.extend(cs);
-        }
-        (parent_rows, child_rows)
-    })
-    .expect("crossbeam scope");
-
-    debug_assert_eq!(
-        parent_rows.len(),
-        n_parents,
-        "tree orchestrator lost parents"
-    );
-    parent_rows.sort_unstable_by_key(|&(i, _)| i);
-    child_rows.sort_unstable_by_key(|&(path, _)| (path.parent, path.child));
-    let mut out: Vec<(PR, Vec<R>)> = parent_rows
-        .into_iter()
-        .map(|(_, pr)| (pr, Vec::new()))
-        .collect();
-    for (path, r) in child_rows {
-        out[path.parent].1.push(r);
-    }
-    out
-}
-
-/// Runs a **task tree** on one work-stealing pool: a forest of `parents`,
-/// each expanded by `expand` *on a worker* into an output value plus a
-/// list of child tasks, every child evaluated by `child` on the same set
-/// of workers — so work-stealing crosses parent boundaries, and a nested
-/// sweep can submit its entire (scenario × shift/seed) grid as one tree
-/// instead of paying one pool (and one serializing join) per cell.
-///
-/// Returns, for every parent in **submission order**, its expansion
-/// output and its children's results in **child order** — scheduling is
-/// never observable, so results are bit-identical at any thread count.
-/// `expand` and `child` must be pure functions of their arguments (plus
-/// shared read-only captures); randomized children derive their RNG
-/// stream from the `(parent, child)` path via [`TreePath::stream_seed`].
-///
-/// Children become stealable the moment their parent expands (no barrier
-/// between levels); [`run_tree_barrier`] is the variant that *does*
-/// interpose a barrier and hands every child the published parent
-/// outputs, for producer/consumer phases.
-///
-/// A single-parent forest degenerates to a flat run: the parent expands
-/// on the caller's thread and the children go through [`run_indexed`],
-/// which clamps the worker count to the now-known child count (and keeps
-/// tiny sweeps inline).
-///
-/// # Panics
-///
-/// Panics if a worker panics (the task panic propagates at scope join; a
-/// poison flag releases the sibling workers' termination spin rather than
-/// deadlocking them).
-pub fn run_tree<P, PR, C, R, E, F>(
-    parents: Vec<P>,
-    cfg: &ParallelConfig,
-    expand: E,
-    child: F,
-) -> Vec<(PR, Vec<R>)>
-where
-    P: Send,
-    PR: Send,
-    C: Send,
-    R: Send,
-    E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
-    F: Fn(TreePath, C) -> R + Sync,
-{
-    if parents.is_empty() {
-        return Vec::new();
-    }
-    if parents.len() == 1 {
-        let mut parents = parents;
-        let (pr, kids) = expand(0, parents.pop().expect("one parent"));
-        let rs = run_indexed(kids, cfg, |ci, c| {
-            child(
-                TreePath {
-                    parent: 0,
-                    child: ci,
-                },
-                c,
-            )
-        });
-        return vec![(pr, rs)];
-    }
-    run_tree_impl(cfg.requested_threads(), parents, &expand, &child)
-}
-
-/// The parent outputs of a [`run_tree_barrier`] submission, as seen by a
-/// child task: a read-only window over every parent's expansion output,
-/// published by the barrier before any child runs.
-///
-/// This is how the shared-arena engines hand a block of filled channel
-/// rows from the fill wave to the resolve wave without a shared mutable
-/// arena: each fill parent *returns* its rows as an owned value, the
-/// barrier publishes them, and every resolve child reads any parent's
-/// rows through [`Self::get`] — no atomics, no `unsafe`, and the borrows
-/// live as long as the submission (`'a`), so children can keep slices
-/// into any parent's output for their whole run.
-pub struct ParentOutputs<'a, PR> {
-    slots: &'a [std::sync::OnceLock<PR>],
-}
-
-impl<PR> Clone for ParentOutputs<'_, PR> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<PR> Copy for ParentOutputs<'_, PR> {}
-
-impl<'a, PR> ParentOutputs<'a, PR> {
-    /// The expansion output of parent `parent` (submission order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is out of range. Inside a [`run_tree_barrier`]
-    /// child every in-range slot is published; an unpublished slot can
-    /// only be observed while a sibling parent's panic is already
-    /// propagating, and panics too.
-    pub fn get(&self, parent: usize) -> &'a PR {
-        self.slots[parent]
-            .get()
-            .expect("parent output published by the expansion barrier")
-    }
-
-    /// Number of parents in the submission.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the submission had no parents.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
-/// [`run_tree`] with an **expansion barrier**: every parent expands — and
-/// its output value is published — before any child runs, and every child
-/// receives a [`ParentOutputs`] window over *all* parent outputs alongside
-/// its task.
-///
-/// This is the producer/consumer bulk step of the shared-arena engines:
-/// fill parents return their block's channel rows as owned values, the
-/// barrier publishes them, resolve children read any row they need. Both
-/// waves work-steal on **one** set of worker threads spawned once — the
-/// barrier is an atomic arrival count, not a join — so a caller iterating
-/// fill/resolve steps per block pays one spawn per block, not two. The
-/// arrival count's release/acquire ordering (and the `OnceLock`
-/// publication) makes every expansion-side value visible to every child.
-///
-/// Returns, for every parent in **submission order**, its expansion
-/// output and its children's results in **child order**, exactly like
-/// [`run_tree`]; with one effective thread the two waves run inline
-/// sequentially (all expansions, then all children), which is the
-/// reference semantics the parallel runs are tested against.
-///
-/// # Panics
-///
-/// Panics if a worker panics (the task panic propagates at scope join; an
-/// expansion panic releases the barrier via a drop guard rather than
-/// deadlocking the siblings).
-pub fn run_tree_barrier<P, PR, C, R, E, F>(
-    parents: Vec<P>,
-    cfg: &ParallelConfig,
-    expand: E,
-    child: F,
-) -> Vec<(PR, Vec<R>)>
-where
-    P: Send,
-    PR: Send + Sync,
-    C: Send,
-    R: Send,
-    E: Fn(usize, P) -> (PR, Vec<C>) + Sync,
-    F: Fn(TreePath, C, ParentOutputs<'_, PR>) -> R + Sync,
-{
-    use std::sync::OnceLock;
-
-    let n_parents = parents.len();
-    if n_parents == 0 {
-        return Vec::new();
-    }
-    let slots: Vec<OnceLock<PR>> = (0..n_parents).map(|_| OnceLock::new()).collect();
-    let threads = cfg.requested_threads();
-
-    let mut child_rows: Vec<(TreePath, R)> = if threads <= 1 {
-        // The sequential reference: expand *all* parents first (the
-        // barrier semantics — children may read any parent's output),
-        // then run all children.
-        let mut kid_lists: Vec<Vec<C>> = Vec::with_capacity(n_parents);
-        for (pi, p) in parents.into_iter().enumerate() {
-            let (pr, kids) = expand(pi, p);
-            if slots[pi].set(pr).is_err() {
-                unreachable!("parent {pi} expanded twice");
-            }
-            kid_lists.push(kids);
-        }
-        let outputs = ParentOutputs { slots: &slots };
-        let mut rows = Vec::new();
-        for (pi, kids) in kid_lists.into_iter().enumerate() {
-            for (ci, c) in kids.into_iter().enumerate() {
-                let path = TreePath {
-                    parent: pi,
-                    child: ci,
-                };
-                rows.push((path, child(path, c, outputs)));
-            }
-        }
-        rows
-    } else {
-        let inj_p = Injector::new();
-        for task in parents.into_iter().enumerate() {
-            inj_p.push(task);
-        }
-        let inj_c: Injector<(TreePath, C)> = Injector::new();
-        let workers_p: Vec<Worker<(usize, P)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers_p: Vec<Stealer<(usize, P)>> = workers_p.iter().map(Worker::stealer).collect();
-        let workers_c: Vec<Worker<(TreePath, C)>> =
-            (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers_c: Vec<Stealer<(TreePath, C)>> =
-            workers_c.iter().map(Worker::stealer).collect();
-        let arrivals = AtomicUsize::new(0);
-
-        crossbeam::scope(|scope| {
-            let (inj_p, inj_c) = (&inj_p, &inj_c);
-            let (stealers_p, stealers_c) = (&stealers_p, &stealers_c);
-            let (arrivals, slots) = (&arrivals, &slots[..]);
-            let (expand, child) = (&expand, &child);
-            let handles: Vec<_> = workers_p
-                .into_iter()
-                .zip(workers_c)
-                .enumerate()
-                .map(|(me, (wp, wc))| {
-                    scope.spawn(move |_| {
-                        let mut arrival = Arrival::new(arrivals);
-                        while let Some((pi, p)) = find_task(me, &wp, inj_p, stealers_p) {
-                            let (pr, kids) = expand(pi, p);
-                            for (ci, c) in kids.into_iter().enumerate() {
-                                inj_c.push((
-                                    TreePath {
-                                        parent: pi,
-                                        child: ci,
-                                    },
-                                    c,
-                                ));
-                            }
-                            if slots[pi].set(pr).is_err() {
-                                unreachable!("parent {pi} expanded twice");
-                            }
-                        }
-                        // A worker arrives only once the parent queues
-                        // were observed drained and it holds no task, so
-                        // `arrivals == threads` certifies every expansion
-                        // has completed, pushed its children, and
-                        // published its output. Expansions are short (one
-                        // block of bulk work), so a yielding spin outlasts
-                        // nothing worth parking for.
-                        arrival.arrive();
-                        while arrivals.load(Ordering::Acquire) < threads {
-                            std::thread::yield_now();
-                        }
-                        let outputs = ParentOutputs { slots };
-                        let mut child_out: Vec<(TreePath, R)> = Vec::new();
-                        while let Some((path, c)) = find_task(me, &wc, inj_c, stealers_c) {
-                            child_out.push((path, child(path, c, outputs)));
-                        }
-                        child_out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("barrier tree worker panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope")
-    };
-
-    child_rows.sort_unstable_by_key(|&(path, _)| (path.parent, path.child));
-    let mut out: Vec<(PR, Vec<R>)> = slots
-        .into_iter()
-        .map(|slot| {
-            let pr = slot
-                .into_inner()
-                .expect("every parent published through the barrier");
-            (pr, Vec::new())
-        })
-        .collect();
-    for (path, r) in child_rows {
-        out[path.parent].1.push(r);
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -949,149 +439,6 @@ mod tests {
         assert_eq!(chunk_size(4 * 8 * 4096 - 1, 8), 4096);
         assert_eq!(chunk_size(4 * 8 * 4096, 8), 4096);
         assert_eq!(chunk_size(4 * 8 * 4096 + 1, 8), 4096);
-    }
-
-    #[test]
-    fn run_tree_merges_in_path_order() {
-        for threads in [1usize, 2, 8] {
-            let out: Vec<(u64, Vec<u64>)> = run_tree(
-                (0..23u64).collect(),
-                &ParallelConfig::with_threads(threads),
-                |pi, p| {
-                    assert_eq!(pi as u64, p);
-                    (p * 100, (0..p % 5).collect())
-                },
-                |path, c| path.parent as u64 * 1000 + c,
-            );
-            assert_eq!(out.len(), 23);
-            for (pi, (pr, rs)) in out.iter().enumerate() {
-                assert_eq!(*pr, pi as u64 * 100, "threads = {threads}");
-                let expected: Vec<u64> =
-                    (0..(pi as u64) % 5).map(|c| pi as u64 * 1000 + c).collect();
-                assert_eq!(rs, &expected, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_tree_empty_and_single_parent() {
-        let none: Vec<((), Vec<u64>)> = run_tree(
-            Vec::<u64>::new(),
-            &ParallelConfig::default(),
-            |_, _| ((), vec![]),
-            |_, c: u64| c,
-        );
-        assert!(none.is_empty());
-        // One parent takes the degenerate run_indexed path.
-        let one = run_tree(
-            vec![5u64],
-            &ParallelConfig::with_threads(8),
-            |_, p| (p, (0..p).collect::<Vec<u64>>()),
-            |path, c| c + path.child as u64,
-        );
-        assert_eq!(one, vec![(5, vec![0, 2, 4, 6, 8])]);
-    }
-
-    #[test]
-    fn tree_seed_matches_chained_stream_seed() {
-        assert_eq!(tree_seed(7, 3, 11), stream_seed(stream_seed(7, 3), 11));
-        let path = TreePath {
-            parent: 3,
-            child: 11,
-        };
-        assert_eq!(path.stream_seed(7), tree_seed(7, 3, 11));
-    }
-
-    #[test]
-    fn barrier_publishes_every_fill_before_any_resolve() {
-        // Fill parents 0..97 each publish i+1 as their owned output; a
-        // final fan-out parent carries 33 resolve children that each sum
-        // the whole window. The barrier guarantees no child observes an
-        // unpublished slot.
-        enum P {
-            Fill(u64),
-            FanOut,
-        }
-        for threads in [1usize, 2, 8] {
-            let parents: Vec<P> = (0..97u64)
-                .map(P::Fill)
-                .chain(std::iter::once(P::FanOut))
-                .collect();
-            let out = run_tree_barrier(
-                parents,
-                &ParallelConfig::with_threads(threads),
-                |pi, p| match p {
-                    P::Fill(v) => {
-                        assert_eq!(pi as u64, v);
-                        (v + 1, Vec::new())
-                    }
-                    P::FanOut => (0, (0..33usize).collect()),
-                },
-                |_path, _c: usize, outputs: ParentOutputs<'_, u64>| {
-                    (0..97)
-                        .map(|pi| {
-                            let v = *outputs.get(pi);
-                            assert_ne!(v, 0, "resolve observed an unpublished fill");
-                            v
-                        })
-                        .sum::<u64>()
-                },
-            );
-            assert_eq!(out.len(), 98, "threads = {threads}");
-            let expected = 97u64 * 98 / 2;
-            assert_eq!(
-                out.last().unwrap().1,
-                vec![expected; 33],
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn barrier_results_come_back_in_path_order() {
-        for threads in [1usize, 2, 8] {
-            let out: Vec<(u64, Vec<u64>)> = run_tree_barrier(
-                (0..23u64).collect(),
-                &ParallelConfig::with_threads(threads),
-                |pi, p| {
-                    assert_eq!(pi as u64, p);
-                    (p * 100, (0..p % 5).collect::<Vec<u64>>())
-                },
-                // Children read a *sibling's* output — legal only because
-                // of the barrier — plus their own path.
-                |path, c, outputs: ParentOutputs<'_, u64>| {
-                    outputs.get((path.parent + 1) % 23) / 100 + path.parent as u64 * 1000 + c
-                },
-            );
-            assert_eq!(out.len(), 23);
-            for (pi, (pr, rs)) in out.iter().enumerate() {
-                assert_eq!(*pr, pi as u64 * 100, "threads = {threads}");
-                let sibling = ((pi + 1) % 23) as u64;
-                let expected: Vec<u64> = (0..(pi as u64) % 5)
-                    .map(|c| sibling + pi as u64 * 1000 + c)
-                    .collect();
-                assert_eq!(rs, &expected, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_empty_and_childless_submissions() {
-        let none: Vec<(u64, Vec<u64>)> = run_tree_barrier(
-            Vec::<u64>::new(),
-            &ParallelConfig::with_threads(4),
-            |_, p| (p, vec![]),
-            |_, c: u64, _outputs| c,
-        );
-        assert!(none.is_empty());
-        // All-childless parents still publish their outputs in order.
-        let childless: Vec<(u64, Vec<u64>)> = run_tree_barrier(
-            vec![1u64, 2, 3],
-            &ParallelConfig::with_threads(4),
-            |_, p| (p * 10, Vec::<u64>::new()),
-            |_, c: u64, _outputs| c,
-        );
-        assert_eq!(childless, vec![(10, vec![]), (20, vec![]), (30, vec![])]);
     }
 
     #[test]

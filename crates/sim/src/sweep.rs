@@ -1,17 +1,17 @@
 //! Pairwise time-to-rendezvous sweeps — the engine behind the Table 1 and
 //! scaling experiments.
 //!
-//! Sweeps are **task-tree submissions** onto the work-stealing
-//! orchestrator ([`crate::pool::run_tree`]): each `(algorithm, scenario)`
-//! cell is a parent task whose expansion validates the cell and builds and
-//! compiles its schedules **once** ([`PreparedSchedule`], shared read-only
-//! via `Arc`), and whose children are `(shift × seed)` sample chunks sized
-//! by [`pool::chunk_size`]. [`sweep_pair_grid`] / [`sweep_lower_grid`]
-//! submit a whole grid of cells as one tree — children of different cells
-//! steal from one another, so a slow cell no longer serializes an artifact
-//! run — while [`sweep_pair_ttr`] / [`sweep_lower_bound`] are the
-//! single-cell special cases. Every sample's randomness derives from its
-//! grid position ([`pool::stream_seed`]), so a sweep's result is
+//! A sweep grid runs as **two flat waves** on the work-stealing
+//! orchestrator ([`pool::run_indexed`]). Wave 1 turns every
+//! `(algorithm, scenario)` cell into its plan: it validates the cell and
+//! builds and compiles its schedules **once** ([`PreparedSchedule`]). Wave
+//! 2 evaluates the `(shift × seed)` sample chunks of every planned cell,
+//! sized by [`pool::chunk_size`], reading the plans read-only. Chunks of
+//! different cells steal from one another, so a slow cell does not
+//! serialize an artifact run. [`sweep_pair_grid`] / [`sweep_lower_grid`]
+//! run whole grids this way; [`sweep_pair_ttr`] / [`sweep_lower_bound`]
+//! are the single-cell special cases. Every sample's randomness derives
+//! from its grid position ([`pool::stream_seed`]), so a sweep's result is
 //! bit-identical at 1, 2, or N threads (asserted by
 //! `tests/parallel_determinism.rs` and `tests/task_tree.rs`).
 
@@ -26,7 +26,6 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Sweep parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -201,9 +200,8 @@ fn seed_ctxs(seed: u64, wake_b: u64) -> (AgentCtx, AgentCtx) {
     )
 }
 
-/// One `(algorithm, scenario)` cell of a sweep grid — a parent task of
-/// the task-tree submissions [`sweep_pair_grid`] builds whole measurement
-/// grids from.
+/// One `(algorithm, scenario)` cell of a sweep grid — the unit
+/// [`sweep_pair_grid`] builds whole measurement grids from.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// The algorithm to sweep.
@@ -213,7 +211,7 @@ pub struct SweepCell {
     /// The scenario to sweep.
     pub scenario: PairScenario,
     /// Per-cell sweep parameters. `cfg.threads` is ignored inside a grid —
-    /// the grid's [`ParallelConfig`] governs the one shared pool.
+    /// the grid's [`ParallelConfig`] governs both of its waves.
     pub cfg: SweepConfig,
 }
 
@@ -224,8 +222,8 @@ pub struct SweepCell {
 type PreparedPair = Option<(PreparedSchedule<DynSchedule>, PreparedSchedule<DynSchedule>)>;
 
 /// The validated, construction-hoisted state of one pair-sweep cell: what
-/// the cell's parent task computes when it expands, then shares read-only
-/// (via `Arc`) with the cell's `(shift × seed)` chunk children.
+/// the grid's first wave computes per cell, then shares read-only with the
+/// cell's `(shift × seed)` chunk tasks in the second wave.
 struct PairSweepPlan {
     algorithm: Algorithm,
     n: u64,
@@ -245,8 +243,8 @@ impl PairSweepPlan {
     /// all but the beacon protocols) both schedules are built **once per
     /// seed** and compiled to period tables when small enough. The beacon
     /// protocols, whose schedules listen to a globally-timed stream, keep
-    /// the per-(shift, seed) construction (inside the chunk children, so
-    /// it parallelizes too).
+    /// the per-(shift, seed) construction (inside the chunk tasks, so it
+    /// parallelizes too).
     fn new(
         algorithm: Algorithm,
         n: u64,
@@ -331,7 +329,7 @@ impl PairSweepPlan {
         self.shift_jobs.len() * self.seeds as usize
     }
 
-    /// Evaluates one chunk of the flat sample grid — a child task's work.
+    /// Evaluates one chunk of the flat sample grid — a wave-2 task's work.
     fn eval_chunk(&self, range: Range<usize>) -> (Vec<u64>, usize) {
         let mut local = Vec::with_capacity(range.len());
         let mut local_failures = 0usize;
@@ -365,7 +363,7 @@ impl PairSweepPlan {
         (local, local_failures)
     }
 
-    /// Folds the chunk results (in child order, so the sample order is
+    /// Folds the chunk results (in chunk order, so the sample order is
     /// exactly the sequential one) into the cell's sweep summary.
     fn finish(&self, parts: Vec<(Vec<u64>, usize)>) -> Result<PairSweep, SweepError> {
         let mut samples = Vec::with_capacity(self.total_samples());
@@ -387,56 +385,85 @@ impl PairSweepPlan {
     }
 }
 
-/// Chunks a plan's `total` flat samples into `(plan, range)` child tasks
-/// sized by the workspace-wide [`pool::chunk_size`] policy. Chunk
-/// boundaries never influence results — chunk outputs are folded back in
-/// child order, reconstituting the sequential sample order exactly.
-fn plan_chunks<T>(plan: &Arc<T>, total: usize, threads: usize) -> Vec<(Arc<T>, Range<usize>)> {
-    let chunk = pool::chunk_size(total, threads);
-    (0..total)
-        .step_by(chunk)
-        .map(|start| (Arc::clone(plan), start..(start + chunk).min(total)))
+/// Runs a grid of cells as two flat [`pool::run_indexed`] waves: wave 1
+/// builds every cell's plan with `plan`, wave 2 evaluates the
+/// `(cell, range)` chunks of every planned cell's `len(plan)` samples with
+/// `eval`, sized by the workspace-wide [`pool::chunk_size`] policy, so
+/// stealing crosses cells. Each planned cell's chunk results then fold
+/// through `finish` in chunk order — chunk boundaries never influence
+/// results, because the folds reconstitute the sequential sample order.
+/// Results come back per cell in submission order.
+fn run_grid<C, P, R, O>(
+    cells: Vec<C>,
+    parallel: &ParallelConfig,
+    plan: impl Fn(C) -> Result<P, SweepError> + Sync,
+    len: impl Fn(&P) -> usize,
+    eval: impl Fn(&P, Range<usize>) -> R + Sync,
+    finish: impl Fn(&P, Vec<R>) -> Result<O, SweepError>,
+) -> Vec<Result<O, SweepError>>
+where
+    C: Send,
+    P: Send + Sync,
+    R: Send,
+{
+    let plans = pool::run_indexed(cells, parallel, |_, cell| plan(cell));
+    let threads = parallel.requested_threads();
+    let chunks: Vec<Vec<(usize, Range<usize>)>> = plans
+        .iter()
+        .enumerate()
+        .map(|(cell, p)| match p {
+            Ok(p) => {
+                let total = len(p);
+                let chunk = pool::chunk_size(total, threads);
+                (0..total)
+                    .step_by(chunk)
+                    .map(|start| (cell, start..(start + chunk).min(total)))
+                    .collect()
+            }
+            Err(_) => Vec::new(),
+        })
+        .collect();
+    let counts: Vec<usize> = chunks.iter().map(Vec::len).collect();
+    let mut results = pool::run_indexed(
+        chunks.into_iter().flatten().collect(),
+        parallel,
+        |_, (cell, range)| {
+            let plan = plans[cell].as_ref();
+            eval(plan.expect("only planned cells have chunks"), range)
+        },
+    )
+    .into_iter();
+    plans
+        .into_iter()
+        .zip(counts)
+        .map(|(plan, k)| finish(&plan?, results.by_ref().take(k).collect()))
         .collect()
 }
 
-/// Sweeps a whole grid of cells as **one task-tree submission**: every
-/// cell is a parent task that expands (on a worker) into its validated
-/// `PairSweepPlan` plus `(shift × seed)` chunk children, all children
-/// work-steal across the one shared pool regardless of which cell they
-/// belong to, and per-cell results fold back in submission order.
+/// Sweeps a whole grid of cells in two flat waves: every cell's
+/// validated `PairSweepPlan` is built first, then the `(shift × seed)`
+/// chunks of all cells work-steal across one pool regardless of which
+/// cell they belong to, and per-cell results fold back in submission
+/// order.
 ///
 /// Equivalent to calling [`sweep_pair_ttr`] per cell in order — the
-/// sequential outer loop the artifact pipelines used to run — but the
-/// pool is spawned once and a slow cell no longer serializes the grid.
-/// Cell failures are per-cell `Err`s: one impossible cell does not poison
-/// its neighbors. `tests/task_tree.rs` pins the per-cell equivalence,
-/// `tests/repro_determinism.rs` the bit-identical artifacts.
+/// sequential outer loop the artifact pipelines used to run — but a slow
+/// cell no longer serializes the grid. Cell failures are per-cell `Err`s:
+/// one impossible cell does not poison its neighbors. `tests/task_tree.rs`
+/// pins the per-cell equivalence, `tests/repro_determinism.rs` the
+/// bit-identical artifacts.
 pub fn sweep_pair_grid(
     cells: Vec<SweepCell>,
     parallel: &ParallelConfig,
 ) -> Vec<Result<PairSweep, SweepError>> {
-    let threads = parallel.requested_threads();
-    pool::run_tree(
+    run_grid(
         cells,
         parallel,
-        move |_cell_index, cell: SweepCell| match PairSweepPlan::new(
-            cell.algorithm,
-            cell.n,
-            &cell.scenario,
-            &cell.cfg,
-        ) {
-            Ok(plan) => {
-                let plan = Arc::new(plan);
-                let kids = plan_chunks(&plan, plan.total_samples(), threads);
-                (Ok(plan), kids)
-            }
-            Err(e) => (Err(e), Vec::new()),
-        },
-        |_path, (plan, range): (Arc<PairSweepPlan>, Range<usize>)| plan.eval_chunk(range),
+        |cell: SweepCell| PairSweepPlan::new(cell.algorithm, cell.n, &cell.scenario, &cell.cfg),
+        PairSweepPlan::total_samples,
+        PairSweepPlan::eval_chunk,
+        PairSweepPlan::finish,
     )
-    .into_iter()
-    .map(|(plan, parts)| plan.and_then(|p| p.finish(parts)))
-    .collect()
 }
 
 /// Measures times-to-rendezvous for one algorithm on one scenario across
@@ -584,13 +611,13 @@ pub struct LowerCell {
     /// The scenario to measure.
     pub scenario: PairScenario,
     /// Per-cell parameters. `cfg.threads` is ignored inside a grid — the
-    /// grid's [`ParallelConfig`] governs the one shared pool.
+    /// grid's [`ParallelConfig`] governs both of its waves.
     pub cfg: LowerSweepConfig,
 }
 
 /// The validated state of one lower-bound cell: certified covering bound,
-/// shift list, and hoisted schedules — computed when the cell's parent
-/// task expands, shared read-only with its shift-chunk children.
+/// shift list, and hoisted schedules — computed by the grid's first wave,
+/// shared read-only with the cell's shift-chunk tasks.
 struct LowerSweepPlan {
     algorithm: Algorithm,
     n: u64,
@@ -681,7 +708,7 @@ impl LowerSweepPlan {
         })
     }
 
-    /// Evaluates one chunk of the shift list — a child task's work.
+    /// Evaluates one chunk of the shift list — a wave-2 task's work.
     /// Returns `(worst ttr with its smallest shift, failures)`.
     fn eval_chunk(&self, range: Range<usize>) -> (Option<(u64, u64)>, usize) {
         let mut worst: Option<(u64, u64)> = None;
@@ -710,7 +737,7 @@ impl LowerSweepPlan {
         (worst, failures)
     }
 
-    /// Folds the chunk results (in child order — the strict `>` fold
+    /// Folds the chunk results (in chunk order — the strict `>` fold
     /// keeps the smallest witness shift independent of chunk boundaries)
     /// into the cell's lower-bound record.
     fn finish(
@@ -745,36 +772,22 @@ impl LowerSweepPlan {
     }
 }
 
-/// Sweeps a whole lower-bound grid as one task-tree submission — the
+/// Sweeps a whole lower-bound grid in two flat waves — the
 /// [`sweep_pair_grid`] counterpart behind the `repro lower` pipeline's
-/// measurement cells. Cells are parents, shift chunks are children, and
-/// stealing crosses cells.
+/// measurement cells. Cells are planned first, then their shift chunks
+/// work-steal across one pool, crossing cells.
 pub fn sweep_lower_grid(
     cells: Vec<LowerCell>,
     parallel: &ParallelConfig,
 ) -> Vec<Result<LowerBoundSweep, SweepError>> {
-    let threads = parallel.requested_threads();
-    pool::run_tree(
+    run_grid(
         cells,
         parallel,
-        move |_cell_index, cell: LowerCell| match LowerSweepPlan::new(
-            cell.algorithm,
-            cell.n,
-            &cell.scenario,
-            &cell.cfg,
-        ) {
-            Ok(plan) => {
-                let plan = Arc::new(plan);
-                let kids = plan_chunks(&plan, plan.shifts.len(), threads);
-                (Ok(plan), kids)
-            }
-            Err(e) => (Err(e), Vec::new()),
-        },
-        |_path, (plan, range): (Arc<LowerSweepPlan>, Range<usize>)| plan.eval_chunk(range),
+        |cell: LowerCell| LowerSweepPlan::new(cell.algorithm, cell.n, &cell.scenario, &cell.cfg),
+        |plan: &LowerSweepPlan| plan.shifts.len(),
+        LowerSweepPlan::eval_chunk,
+        LowerSweepPlan::finish,
     )
-    .into_iter()
-    .map(|(plan, parts)| plan.and_then(|p| p.finish(parts)))
-    .collect()
 }
 
 /// Measures one lower-bound cell: computes the certified covering bound

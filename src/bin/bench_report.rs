@@ -9,9 +9,12 @@
 //!   populations from 64 to 10k agents.
 //! * **`BENCH_tree.json`** — whole-grid wall-clock of the smoke-tier
 //!   `table1` measurement grid run as the former sequential outer loop
-//!   (one per-cell pool submission per cell) vs as **one task-tree
-//!   submission** (`rdv_sim::sweep_pair_grid`), at 8 requested worker
-//!   threads.
+//!   (one per-cell pool submission per cell) vs as **one grid run**
+//!   (`rdv_sim::sweep_pair_grid`: one wave plans every cell, a second
+//!   evaluates the sample chunks of all cells, stealing across cells), at
+//!   8 requested worker threads. The bench id `task_tree_grid` and its
+//!   `tree_*` keys predate the two-wave design and stay, because the
+//!   ledger series are keyed on them.
 //! * **`BENCH_faults.json`** — pair-slots/sec of the arena engine on the
 //!   faulted grid (committed `light` profile), availability-aware
 //!   ACS-hopping population vs the oblivious Thm-3 population under the
@@ -37,7 +40,7 @@
 //! against full-tier baselines. `--min-arena-speedup` additionally fails
 //! the gate if the dense-population arena-vs-per-pair speedup falls
 //! below the given factor, and `--min-tree-speedup` if the
-//! whole-grid-tree-vs-sequential-outer-loop speedup does (the latter is
+//! whole-grid-vs-sequential-outer-loop speedup does (the latter is
 //! machine-portable — both sides run on the same pool configuration — so
 //! CI gates the ratio rather than a raw-throughput baseline).
 //! `--min-bitplane-speedup` gates the bit-plane-vs-slotwise pair-kernel
@@ -497,8 +500,8 @@ const TREE_THREADS: usize = 8;
 /// grid (the same cells, in the same order, as the artifact pipeline)
 /// swept twice at [`TREE_THREADS`] requested workers — once as the former
 /// **sequential outer loop**, one per-cell pool submission per cell, and
-/// once as **one task-tree submission** where every cell is a parent and
-/// all cells' chunk children steal from one shared pool. The two drivers
+/// once as **one grid run** whose second wave lets the sample chunks of
+/// all cells steal from one another. The two drivers
 /// are asserted bit-identical before anything is timed; the gated number
 /// is their wall-clock ratio.
 fn tree_suite(smoke: bool) -> Suite {
@@ -571,10 +574,10 @@ fn tree_suite(smoke: bool) -> Suite {
             "unit",
             Value::from("grid cells swept per second (whole-grid wall clock)"),
         ),
-        // The measured ratio is hardware-dependent: the tree's wall-clock
-        // win comes from cross-cell stealing, so single-core hosts only
-        // see the spawn-amortization floor. `host_threads` records what
-        // the machine could actually overlap.
+        // The measured ratio is hardware-dependent: the grid run's
+        // wall-clock win comes from cross-cell stealing, so single-core
+        // hosts only see the spawn-amortization floor. `host_threads`
+        // records what the machine could actually overlap.
         (
             "host_threads",
             Value::from(
@@ -790,34 +793,34 @@ fn faults_suite(smoke: bool) -> Suite {
 
 /// Parses a baseline report into its `bench` id and `(key, throughput)`
 /// gate points, where the key column and throughput column are inferred
-/// from the `bench` id.
-fn baseline_points(path: &str) -> (String, Vec<(u64, f64)>) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let doc: Value = serde_json::from_str(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
+/// from the `bench` id. A missing or malformed file is an `Err` naming it.
+fn baseline_points(path: &str) -> Result<(String, Vec<(u64, f64)>), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let doc: Value = serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
     let bench = doc
         .get("bench")
         .and_then(Value::as_str)
-        .unwrap_or_else(|| panic!("{path}: no bench id"))
+        .ok_or_else(|| format!("{path}: no bench id"))?
         .to_string();
     let (key, rate) = history::bench_gate_columns(&bench);
     let points = doc
         .get("scenarios")
         .and_then(Value::as_array)
-        .unwrap_or_else(|| panic!("{path}: no scenarios array"))
+        .ok_or_else(|| format!("{path}: no scenarios array"))?
         .iter()
         .map(|s| {
             let k = s
                 .get(key)
                 .and_then(Value::as_u64)
-                .unwrap_or_else(|| panic!("{path}: scenario without {key}"));
+                .ok_or_else(|| format!("{path}: scenario without {key}"))?;
             let r = s
                 .get(rate)
                 .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{path}: scenario without {rate}"));
-            (k, r)
+                .ok_or_else(|| format!("{path}: scenario without {rate}"))?;
+            Ok((k, r))
         })
-        .collect();
-    (bench, points)
+        .collect::<Result<_, String>>()?;
+    Ok((bench, points))
 }
 
 /// Diffs a fresh suite against its baseline points; returns the
@@ -870,6 +873,14 @@ fn arena_speedups(suite: &Suite) -> Vec<(u64, f64)> {
         })
         .collect()
 }
+
+/// Each suite's `--suite` name and the `bench` id its report carries.
+const SUITE_BENCHES: [(&str, &str); 4] = [
+    ("kernel", "worst_async_ttr_exhaustive"),
+    ("multiuser", "multiuser_arena_engine"),
+    ("tree", "task_tree_grid"),
+    ("faults", "faults_acs_engine"),
+];
 
 /// Reports a bad command line in one line and exits 2, before any suite
 /// runs — the usage-error code `repro` uses too.
@@ -925,10 +936,19 @@ fn main() {
             _ => usage_error("--baseline requires a value"),
         })
         .collect();
+    // NaN would make every gate comparison false, and a negative bound is
+    // meaningless, so both are usage errors rather than a gate that
+    // passes whatever was measured.
     let number = |name: &str| {
         flag_value(name).map(|v| {
             v.parse::<f64>()
-                .unwrap_or_else(|_| usage_error(&format!("{name} takes a number (got {v})")))
+                .ok()
+                .filter(|x| x.is_finite() && *x >= 0.0)
+                .unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "{name} takes a finite non-negative number (got {v})"
+                    ))
+                })
         })
     };
     let max_regression_pct = number("--max-regression-pct").unwrap_or(30.0);
@@ -941,6 +961,25 @@ fn main() {
             "--suite takes kernel, multiuser, tree, faults, or all (got {suite_filter})"
         ));
     }
+    let selected = |name: &str| suite_filter == name || suite_filter == "all";
+    // Baselines are loaded and matched to a selected suite before any
+    // suite runs, so a bad `--baseline` costs nothing to report.
+    let baselines: Vec<(String, Vec<(u64, f64)>)> = baseline_paths
+        .iter()
+        .map(|path| {
+            let (bench, points) = baseline_points(path).unwrap_or_else(|e| usage_error(&e));
+            let measured = SUITE_BENCHES
+                .iter()
+                .any(|&(name, id)| id == bench && selected(name));
+            if !measured {
+                usage_error(&format!(
+                    "baseline {path} gates suite {bench}, which --suite {suite_filter} does not \
+                     measure"
+                ));
+            }
+            (bench, points)
+        })
+        .collect();
     let history_path: Option<String> = flag_value("--history");
     // Single-core honesty: a 1-hardware-thread host cannot overlap work,
     // so parallel-vs-sequential speedup ratios only measure the
@@ -976,16 +1015,16 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
 
     let mut suites = Vec::new();
-    if suite_filter == "kernel" || suite_filter == "all" {
+    if selected("kernel") {
         suites.push(kernel_suite(smoke));
     }
-    if suite_filter == "multiuser" || suite_filter == "all" {
+    if selected("multiuser") {
         suites.push(multiuser_suite(smoke));
     }
-    if suite_filter == "tree" || suite_filter == "all" {
+    if selected("tree") {
         suites.push(tree_suite(smoke));
     }
-    if suite_filter == "faults" || suite_filter == "all" {
+    if selected("faults") {
         suites.push(faults_suite(smoke));
     }
 
@@ -1061,12 +1100,12 @@ fn main() {
     }
 
     let mut failures: Vec<String> = Vec::new();
-    for path in &baseline_paths {
-        let (bench, points) = baseline_points(path);
-        let Some(suite) = suites.iter().find(|s| s.bench == bench) else {
-            panic!("baseline {path} gates suite {bench}, which was not measured (see --suite)");
-        };
-        failures.extend(diff_against_baseline(suite, &points, max_regression_pct));
+    for (bench, points) in &baselines {
+        let suite = suites
+            .iter()
+            .find(|s| s.bench == bench)
+            .expect("baselines were matched to a selected suite");
+        failures.extend(diff_against_baseline(suite, points, max_regression_pct));
     }
     if let Some(min) = min_arena_speedup {
         for suite in suites
@@ -1134,7 +1173,7 @@ fn main() {
                 println!("tree speedup over {cells} cells: {speedup:.1}x (floor {min}x)");
                 if speedup < min {
                     failures.push(format!(
-                        "task-tree grid speedup {speedup:.1}x over the sequential outer loop \
+                        "whole-grid speedup {speedup:.1}x over the sequential outer loop \
                          below the {min}x floor"
                     ));
                 }

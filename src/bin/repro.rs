@@ -182,7 +182,16 @@ fn main() {
         std::process::exit(2);
     }
     // Positional arguments: everything that is neither a flag nor the
-    // value of a value-taking flag.
+    // value of a value-taking flag. An unrecognized flag is a usage error
+    // before anything runs: silently ignoring a typo (`--fault light`)
+    // would run a different pipeline than the one asked for.
+    const BARE_FLAGS: [&str; 5] = [
+        "--smoke",
+        "--quick",
+        "--sabotage",
+        "--same-host",
+        "--repair",
+    ];
     const VALUE_FLAGS: [&str; 8] = [
         "--out-dir",
         "--faults",
@@ -206,6 +215,9 @@ fn main() {
         }
         if !a.starts_with("--") {
             positional.push(a);
+        } else if !BARE_FLAGS.contains(&a.as_str()) {
+            eprintln!("unrecognized argument {a} (see the module docs for the flag list)");
+            std::process::exit(2);
         }
     }
     let cmd = positional.first().copied().unwrap_or("all");
@@ -301,12 +313,19 @@ fn main() {
                             })
                         })
                         .unwrap_or(5),
+                    // NaN would classify nothing as regressed, so a
+                    // non-finite (or negative) tolerance is a usage error.
                     max_regression_pct: flag_value("--max-regression-pct")
                         .map(|v| {
-                            v.parse().unwrap_or_else(|_| {
-                                eprintln!("--max-regression-pct takes a number");
-                                std::process::exit(2);
-                            })
+                            v.parse::<f64>()
+                                .ok()
+                                .filter(|x| x.is_finite() && *x >= 0.0)
+                                .unwrap_or_else(|| {
+                                    eprintln!(
+                                        "--max-regression-pct takes a finite non-negative number"
+                                    );
+                                    std::process::exit(2);
+                                })
                         })
                         .unwrap_or(30.0),
                     same_host: args.iter().any(|a| a == "--same-host"),

@@ -6,12 +6,12 @@
 //! orchestrator, so every artifact is bit-identical at any worker thread
 //! count.
 //!
-//! The `table1` and `lower` measurement grids are each **one task-tree
-//! submission** (`rdv_sim::sweep_pair_grid` / `sweep_lower_grid`): every
-//! (algorithm × timing × scenario × n) cell is a parent task, its
-//! `(shift × seed)` chunks are children, and the chunks of *all* cells
-//! work-steal on one pool — so a slow cell no longer serializes an
-//! artifact run the way the former sequential per-cell loop did.
+//! The `table1` and `lower` measurement grids each run as **two flat
+//! waves** (`rdv_sim::sweep_pair_grid` / `sweep_lower_grid`): the first
+//! plans every (algorithm × timing × scenario × n) cell, the second
+//! evaluates the `(shift × seed)` chunks of *all* cells, work-stealing on
+//! one pool — so a slow cell no longer serializes an artifact run the way
+//! the former sequential per-cell loop did.
 //!
 //! Living in the library (not the `repro` binary) so the test suite can
 //! run the pipelines in-process: `tests/repro_determinism.rs` executes
@@ -150,11 +150,10 @@ fn journal_row(ckpt: Option<&Journal>, id: &str, row: &Value) {
     }
 }
 
-/// The `table1` measurement grid as task-tree parents, in artifact row
-/// order (algorithm → scenario kind → n → timing) — one [`SweepCell`] per
-/// artifact row. Shared by [`table1::run`] and the `BENCH_tree.json`
-/// orchestration bench (`bench_report --suite tree`) so both submit the
-/// identical tree.
+/// The `table1` measurement grid, in artifact row order (algorithm →
+/// scenario kind → n → timing) — one [`SweepCell`] per artifact row.
+/// Shared by [`table1::run`] and the `BENCH_tree.json` orchestration bench
+/// (`bench_report --suite tree`) so both sweep the identical grid.
 pub fn table1_cells(tier: Tier, threads: usize) -> Vec<SweepCell> {
     let (ns, shifts, seeds) = grid_dimensions(tier);
     let mut cells = Vec::new();
@@ -266,9 +265,9 @@ pub mod table1 {
                 }
             }
         }
-        // The remaining grid is ONE task-tree submission: cells are
-        // parents, their (shift × seed) chunks are children, and the
-        // chunks of all cells steal from one another on the shared pool.
+        // The remaining grid is ONE grid run: every cell is planned, then
+        // the (shift × seed) chunks of all cells steal from one another on
+        // the shared pool.
         let to_run: Vec<SweepCell> = cells
             .into_iter()
             .zip(&replayed)
@@ -427,8 +426,8 @@ pub mod lower {
     }
 
     /// The measurement grid: one lower-bound cell per `table1` cell, the
-    /// whole grid one task-tree submission (cells are parents, shift
-    /// chunks are children, stealing crosses cells). Cells a checkpoint
+    /// whole grid one grid run (every cell planned, then the shift chunks
+    /// of all cells, stealing across cells). Cells a checkpoint
     /// journal replays are spliced back by row id without re-running; the
     /// (deterministic, recomputed) non-grid sections are never journaled.
     fn grid_cells(artifact: &mut Artifact, threads: usize, ckpt: Option<&Journal>) -> Vec<Value> {

@@ -431,7 +431,14 @@ fn bench_speedup_gates_skip_loudly_on_single_core_hosts() {
 
 #[test]
 fn bench_report_usage_errors_exit_2_without_a_panic() {
-    // Arguments are parsed before any suite runs, so each call is cheap.
+    // Arguments and baselines are checked before any suite runs, so each
+    // call is cheap.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let committed_multiuser = root.join("BENCH_multiuser.json");
+    let committed_multiuser = committed_multiuser.to_str().expect("utf-8 path");
+    let garbage = scratch("garbage_baseline.json");
+    std::fs::write(&garbage, "{ not json").expect("write");
+    let garbage = garbage.to_str().expect("utf-8 path");
     for args in [
         &["--bogus"][..],
         &["--suite"],
@@ -439,6 +446,28 @@ fn bench_report_usage_errors_exit_2_without_a_panic() {
         &["--max-regression-pct", "lots"],
         &["--min-arena-speedup", "fast"],
         &["--suite", "everything"],
+        &["--max-regression-pct", "nan"],
+        &["--max-regression-pct", "inf"],
+        &["--max-regression-pct", "-5"],
+        &["--min-arena-speedup", "nan"],
+        &["--min-tree-speedup", "nan"],
+        &["--min-bitplane-speedup", "NaN"],
+        &["--min-tree-speedup", "-1.3"],
+        &[
+            "--suite",
+            "kernel",
+            "--smoke",
+            "--baseline",
+            "/nonexistent.json",
+        ],
+        &["--suite", "kernel", "--smoke", "--baseline", garbage],
+        &[
+            "--suite",
+            "kernel",
+            "--smoke",
+            "--baseline",
+            committed_multiuser,
+        ],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_bench_report"))
             .args(args)
@@ -450,4 +479,34 @@ fn bench_report_usage_errors_exit_2_without_a_panic() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: no suite ran");
     }
+}
+
+#[test]
+fn repro_rejects_unknown_flags_and_non_finite_tolerances() {
+    // A typoed flag must not run the pipeline it was attached to.
+    let dir = scratch("bogus_flag");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--bogus", "sdp", "--out-dir"])
+        .arg(&dir)
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line message: {stderr}");
+    assert!(stderr.contains("--bogus"), "names the flag: {stderr}");
+    assert!(!dir.exists(), "no artifact written for a rejected run");
+
+    // A NaN tolerance would classify nothing as regressed.
+    let ledger = scratch("nan_tolerance.jsonl");
+    synthetic_regression_ledger(&ledger);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["trend", "--history"])
+        .arg(&ledger)
+        .args(["--max-regression-pct", "nan"])
+        .output()
+        .expect("run repro trend");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "no analysis ran");
 }

@@ -76,11 +76,12 @@ fn sdp_pipeline_is_thread_count_invariant_and_matches_committed() {
 
 #[test]
 fn table1_pipeline_is_thread_count_invariant_and_matches_committed() {
-    // The whole grid now routes through one task-tree submission
-    // (`sweep_pair_grid`): the 1-thread run is the literal sequential
-    // nested loop, the 8-thread run steals chunks across cells — both
-    // must serialize byte-identically, and match the committed artifact,
-    // pinning that the tree refactor changed scheduling, not results.
+    // The whole grid routes through one two-wave grid run
+    // (`sweep_pair_grid`: plan every cell, then sweep the chunks of all
+    // cells): the 1-thread run is the literal sequential nested loop, the
+    // 8-thread run steals chunks across cells — both must serialize
+    // byte-identically, and match the committed artifact, pinning that
+    // the orchestration changes scheduling, not results.
     let single = pipelines::table1::run(Tier::Smoke, 1);
     let two = pipelines::table1::run(Tier::Smoke, 2);
     let multi = pipelines::table1::run(Tier::Smoke, 8);

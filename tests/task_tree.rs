@@ -1,200 +1,68 @@
-//! The task-tree orchestrator contract (`pool::run_tree`): parallel tree
-//! submissions must be **indistinguishable** from the sequential
-//! two-nested-loops reference for every tree shape — including empty
-//! parents, single-child parents, and whole sweep grids — at every thread
-//! count, and a panicking task must propagate instead of deadlocking the
-//! pool. The hardened runner inverts that last clause: under
-//! `run_indexed_quarantined` a panicking task is *recorded* in its result
-//! slot and the rest of the grid completes; `retry_with_backoff` rounds
-//! out the fault-tolerant orchestrator surface.
+//! The orchestrator contract for multi-level jobs. Sweep grids run as two
+//! flat `pool::run_indexed` waves (plan every cell, then evaluate every
+//! cell's sample chunks), and the result must be **indistinguishable**
+//! from sweeping each cell on its own — for every grid shape, including
+//! empty grids, grids whose cells all fail, single cells and mixed grids —
+//! at every thread count. A panicking task must propagate instead of
+//! deadlocking the pool. The hardened runner inverts that last clause:
+//! under `run_indexed_quarantined` a panicking task is *recorded* in its
+//! result slot and the rest of the grid completes; `retry_with_backoff`
+//! rounds out the fault-tolerant orchestrator surface.
 
-use blind_rendezvous::sim::pool::{self, ParallelConfig, TaskPanic, TreePath};
+use blind_rendezvous::prelude::ChannelSet;
+use blind_rendezvous::sim::pool::{self, ParallelConfig, TaskPanic};
 use blind_rendezvous::sim::sweep::{sweep_pair_grid, sweep_pair_ttr, SweepCell};
 use blind_rendezvous::sim::workload::{self, PairScenario};
 use blind_rendezvous::sim::{Algorithm, SweepConfig, SweepError};
-use proptest::prelude::*;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The sequential two-nested-loops reference: what a tree submission of
-/// `shape` (each parent a list of child payloads) must produce, computed
-/// with plain loops and no orchestrator.
-fn reference(shape: &[Vec<u64>]) -> Vec<(u64, Vec<u64>)> {
-    shape
-        .iter()
-        .enumerate()
-        .map(|(pi, kids)| {
-            let pr = kids.iter().fold(0u64, |a, &b| a.wrapping_add(b)) ^ pi as u64;
-            let rs = kids
-                .iter()
-                .enumerate()
-                .map(|(ci, &c)| c.wrapping_mul(3) ^ pool::tree_seed(42, pi as u64, ci as u64))
-                .collect();
-            (pr, rs)
-        })
-        .collect()
-}
-
-/// The same computation as [`reference`], submitted as a task tree.
-fn via_tree(shape: Vec<Vec<u64>>, threads: usize) -> Vec<(u64, Vec<u64>)> {
-    pool::run_tree(
-        shape,
-        &ParallelConfig::with_threads(threads),
-        |pi, kids: Vec<u64>| {
-            (
-                kids.iter().fold(0u64, |a, &b| a.wrapping_add(b)) ^ pi as u64,
-                kids,
-            )
+/// A two-wave job shaped like a sweep grid: wave 1 expands each of 16
+/// parents into 4 children, wave 2 runs every child of every parent as
+/// one flat `run_indexed` submission. `expand_bomb` / `child_bomb` name
+/// the (parent) or (parent, child) task that panics.
+fn two_wave_job(expand_bomb: Option<usize>, child_bomb: Option<(u64, u64)>) -> Vec<u64> {
+    let cfg = ParallelConfig::with_threads(4);
+    let children: Vec<Vec<(u64, u64)>> =
+        pool::run_indexed((0..16u64).collect::<Vec<_>>(), &cfg, |pi, p| {
+            if Some(pi) == expand_bomb {
+                panic!("expansion bomb");
+            }
+            (0..4u64).map(|c| (p, c)).collect()
+        });
+    pool::run_indexed(
+        children.into_iter().flatten().collect::<Vec<_>>(),
+        &cfg,
+        |_, (p, c)| {
+            if Some((p, c)) == child_bomb {
+                panic!("child bomb");
+            }
+            p * 4 + c
         },
-        |path: TreePath, c: u64| c.wrapping_mul(3) ^ path.stream_seed(42),
     )
 }
 
 #[test]
-fn empty_single_child_and_mixed_shapes_match_reference() {
-    let shapes: Vec<Vec<Vec<u64>>> = vec![
-        vec![],                       // empty forest
-        vec![vec![], vec![], vec![]], // only empty parents
-        vec![vec![7]],                // one single-child parent
-        vec![
-            vec![9],
-            vec![],
-            vec![1, 2, 3, 4, 5, 6, 7, 8],
-            vec![],
-            vec![42],
-            vec![0],
-        ],
-    ];
-    for shape in shapes {
-        let expected = reference(&shape);
-        for threads in [1usize, 2, 3, 8] {
-            assert_eq!(
-                via_tree(shape.clone(), threads),
-                expected,
-                "shape {shape:?} diverged at {threads} threads"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn run_tree_equals_the_nested_loop_reference_for_random_shapes(
-        shape in proptest::collection::vec(
-            proptest::collection::vec(any::<u64>(), 0..7), 0..14),
-        threads in 1usize..9,
-    ) {
-        prop_assert_eq!(via_tree(shape.clone(), threads), reference(&shape));
-    }
-}
-
-#[test]
 fn child_panic_propagates_without_deadlock() {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool::run_tree(
-            (0..16u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(4),
-            |_, p| ((), vec![p; 4]),
-            |path: TreePath, c: u64| {
-                if path.parent == 7 && path.child == 2 {
-                    panic!("child bomb");
-                }
-                c
-            },
+    assert_eq!(two_wave_job(None, None), (0..64u64).collect::<Vec<_>>());
+    // First, middle and last child: wherever the panicking task sits in
+    // the second wave, its siblings finish and the panic reaches the caller.
+    for bomb in [(0u64, 0u64), (7, 2), (15, 3)] {
+        let result = catch_unwind(AssertUnwindSafe(|| two_wave_job(None, Some(bomb))));
+        assert!(
+            result.is_err(),
+            "the panic of child {bomb:?} must propagate to the caller"
         );
-    }));
-    assert!(
-        result.is_err(),
-        "the child panic must propagate to the caller"
-    );
+    }
 }
 
 #[test]
 fn expand_panic_propagates_without_deadlock() {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool::run_tree(
-            (0..16u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(4),
-            |pi, p| {
-                if pi == 11 {
-                    panic!("expansion bomb");
-                }
-                ((), vec![p])
-            },
-            |_path: TreePath, c: u64| c,
+    for bomb in [0usize, 11, 15] {
+        let result = catch_unwind(AssertUnwindSafe(|| two_wave_job(Some(bomb), None)));
+        assert!(
+            result.is_err(),
+            "the expansion panic of parent {bomb} must propagate to the caller"
         );
-    }));
-    assert!(
-        result.is_err(),
-        "the expansion panic must propagate to the caller"
-    );
-}
-
-#[test]
-fn barrier_expansion_panic_releases_the_barrier() {
-    // Mirrors the barrier tests in `pool`: a fill-phase worker dying must
-    // release the arrival barrier (drop-guard arrival) so its siblings
-    // finish and the panic surfaces at join instead of a deadlock.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool::run_tree_barrier(
-            (0..8u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(4),
-            |pi, p| {
-                if pi == 3 {
-                    panic!("fill bomb");
-                }
-                (p, vec![p])
-            },
-            |_path: TreePath, c: u64, _outputs: pool::ParentOutputs<'_, u64>| c,
-        );
-    }));
-    assert!(
-        result.is_err(),
-        "the fill-phase panic must propagate to the caller"
-    );
-}
-
-#[test]
-fn barrier_children_see_every_parent_output_at_every_thread_count() {
-    // The pinning contract the engine's fill/resolve split rides on:
-    // by the time any child runs, *all* parent outputs are published and
-    // readable through `ParentOutputs`, regardless of thread count.
-    for threads in [1usize, 2, 8] {
-        let out = pool::run_tree_barrier(
-            (0..10u64).collect::<Vec<_>>(),
-            &ParallelConfig::with_threads(threads),
-            |_pi, p| (p * p, vec![p]),
-            |path: TreePath, c: u64, outputs: pool::ParentOutputs<'_, u64>| {
-                let total: u64 = (0..outputs.len()).map(|i| *outputs.get(i)).sum();
-                total + c + path.parent as u64
-            },
-        );
-        // Sum of squares over 0..10 is 285; each parent carries one child.
-        for (p, (square, kids)) in out.iter().enumerate() {
-            assert_eq!(*square, (p * p) as u64, "at {threads} threads");
-            assert_eq!(
-                kids.as_slice(),
-                &[285 + 2 * p as u64],
-                "at {threads} threads"
-            );
-        }
-    }
-}
-
-#[test]
-fn tree_seeds_are_distinct_across_grid_paths() {
-    for base in [0u64, 42, u64::MAX] {
-        let mut seen = HashSet::new();
-        for parent in 0..64u64 {
-            for child in 0..64u64 {
-                assert!(
-                    seen.insert(pool::tree_seed(base, parent, child)),
-                    "path seed collision at ({parent}, {child}) under base {base}"
-                );
-            }
-        }
     }
 }
 
@@ -229,6 +97,66 @@ fn grid_cells() -> Vec<SweepCell> {
     cells
 }
 
+/// A scenario no algorithm can sweep: the two sets share no channel.
+fn disjoint() -> PairScenario {
+    PairScenario {
+        a: ChannelSet::new(vec![1, 2]).expect("valid"),
+        b: ChannelSet::new(vec![3, 4]).expect("valid"),
+    }
+}
+
+#[test]
+fn empty_failed_and_single_cell_grids_match_per_cell_sweeps() {
+    let good = grid_cells();
+    let failing = |algorithm, scenario: PairScenario| SweepCell {
+        algorithm,
+        n: 8,
+        scenario,
+        cfg: good[0].cfg,
+    };
+    let oversized = PairScenario {
+        a: ChannelSet::new(vec![1, 40]).expect("valid"),
+        b: ChannelSet::new(vec![1, 2]).expect("valid"),
+    };
+    let shapes: Vec<Vec<SweepCell>> = vec![
+        vec![],
+        vec![
+            failing(Algorithm::Ours, disjoint()),
+            failing(Algorithm::Crseq, oversized.clone()),
+            failing(Algorithm::Random, disjoint()),
+        ],
+        vec![good[2].clone()],
+        vec![
+            failing(Algorithm::Ours, oversized),
+            good[0].clone(),
+            failing(Algorithm::JumpStay, disjoint()),
+            good[5].clone(),
+        ],
+    ];
+    for cells in shapes {
+        let per_cell: Vec<Result<String, SweepError>> = cells
+            .iter()
+            .map(|c| {
+                sweep_pair_ttr(c.algorithm, c.n, &c.scenario, &c.cfg)
+                    .map(|s| serde_json::to_string(&s.to_json()))
+            })
+            .collect();
+        for threads in [1usize, 2, 3, 8] {
+            let grid: Vec<Result<String, SweepError>> =
+                sweep_pair_grid(cells.clone(), &ParallelConfig::with_threads(threads))
+                    .into_iter()
+                    .map(|r| r.map(|s| serde_json::to_string(&s.to_json())))
+                    .collect();
+            assert_eq!(
+                grid,
+                per_cell,
+                "a {}-cell grid diverged from per-cell sweeps at {threads} threads",
+                cells.len()
+            );
+        }
+    }
+}
+
 #[test]
 fn grid_submission_matches_per_cell_sweeps_at_every_thread_count() {
     let cells = grid_cells();
@@ -261,10 +189,7 @@ fn one_bad_cell_does_not_poison_its_grid_neighbors() {
         SweepCell {
             algorithm: Algorithm::Ours,
             n: 8,
-            scenario: PairScenario {
-                a: blind_rendezvous::prelude::ChannelSet::new(vec![1, 2]).expect("valid"),
-                b: blind_rendezvous::prelude::ChannelSet::new(vec![3, 4]).expect("valid"),
-            },
+            scenario: disjoint(),
             cfg: cells[0].cfg,
         },
     );
