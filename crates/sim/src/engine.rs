@@ -2,6 +2,17 @@
 //! fills every agent's schedule **once** per block and resolves all
 //! pending pairs over the shared read-only block rows.
 //!
+//! # Pair discovery
+//!
+//! A run first lists its work: every pair whose channel sets overlap, as
+//! `(u32, u32)` pairs in lexicographic order. Agents with identical sets
+//! form one class; only a class's first member scans the flat
+//! channel→agents index, marking its later co-channel agents into one
+//! scratch row read back a word at a time, and every later member copies
+//! the part of that list past its own index. The cost follows the output
+//! and the number of distinct sets, not `n²`, and the list is allocated
+//! once at its exact size.
+//!
 //! # The shared block arena
 //!
 //! The engine advances time in blocks of `BLOCK` (512) slots. Each block
@@ -53,6 +64,7 @@ use rdv_core::compiled::PreparedSchedule;
 use rdv_core::fault::{FaultPlan, InPlayWindow};
 use rdv_core::schedule::Schedule;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::ops::Range;
 
 /// Slots per arena block: large enough to amortize fills and task
@@ -92,15 +104,6 @@ pub const PLANE_BUCKET_CROSSOVER: usize = 128;
 /// Beyond it the engine stays pair-major.
 const MAX_BUCKET_AGENTS: usize = 1 << 15;
 
-/// Population range over which [`Simulation::overlapping_pairs`] uses
-/// the channel-inverted index (`O(n·k + Σ_c |bucket_c|² + n²/64)`)
-/// instead of the nested `O(n²·k)` set-overlap scan: below the floor the
-/// nested scan is cheap anyway, above the ceiling the index's
-/// `n(n−1)/2`-bit marking set (512 MiB at the ceiling) outgrows the win
-/// and the memory-proportional nested scan resumes.
-const INDEXED_OVERLAP_MIN_AGENTS: usize = 256;
-const INDEXED_OVERLAP_MAX_AGENTS: usize = 1 << 17;
-
 /// One simulated agent.
 pub struct Agent {
     /// The agent's channel set.
@@ -123,10 +126,12 @@ pub struct Agent {
 /// How the engine resolves pending pairs against the filled arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResolveMode {
-    /// Choose per block: pair-major until pending pairs exceed
-    /// `BUCKET_CROSSOVER` (16)× the in-play agents, bucket scan beyond. The
-    /// choice is re-evaluated every block — dense populations start in
-    /// bucket mode and drop back to pair-major as pairs meet and leave.
+    /// Choose per block: pair-major until pending pairs reach a multiple
+    /// of the in-play agents, bucket scan beyond. The multiple is
+    /// [`PLANE_BUCKET_CROSSOVER`] (128) when the block's rows pack into
+    /// bit-planes and [`BUCKET_CROSSOVER`] (16) when they stay slotwise.
+    /// The choice is re-evaluated every block — dense populations start
+    /// in bucket mode and drop back to pair-major as pairs meet and leave.
     #[default]
     Auto,
     /// Always scan each pending pair's two arena rows
@@ -315,6 +320,26 @@ fn set_bit(bits: &mut [u64], at: usize) {
     bits[at / 64] |= 1 << (at % 64);
 }
 
+/// Numbers `keys` in first-appearance order: equal `Some` keys share an
+/// id, and every `None` gets a fresh one. Ids therefore appear in
+/// ascending order of their first use — `ids[i]` equals the count of ids
+/// before it exactly when index `i` opens a new one.
+fn first_appearance_ids<K: Hash + Eq>(keys: impl Iterator<Item = Option<K>>) -> Vec<usize> {
+    let mut by_key: HashMap<K, usize> = HashMap::new();
+    let mut next = 0usize;
+    keys.map(|key| {
+        let id = match key {
+            Some(key) => *by_key.entry(key).or_insert(next),
+            None => next,
+        };
+        if id == next {
+            next += 1;
+        }
+        id
+    })
+    .collect()
+}
+
 /// How one block's filled rows are laid out inside their chunk buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RowLayout {
@@ -445,65 +470,113 @@ impl Simulation {
         &self.agents
     }
 
-    /// The overlapping (i, j) pairs, i < j, in lexicographic order — the
-    /// work list of a run.
+    /// The overlapping `(i, j)` pairs, `i < j`, in lexicographic order —
+    /// the work list of a run.
     ///
-    /// Small populations use the direct nested set-overlap scan. Large
-    /// ones invert the population into a channel→agents index and mark
-    /// co-owning pairs in a bitset: `O(n²)` pairwise `overlaps()` calls
-    /// (each `O(k log k)`) would dominate the whole run at 10k agents,
-    /// while the index costs one bit-or per co-ownership and a linear
-    /// bitset sweep. Populations beyond the index's memory ceiling drop
-    /// back to the nested scan, which allocates only the output.
-    fn overlapping_pairs(&self) -> Vec<(usize, usize)> {
+    /// One output-sensitive path for every population. Agents are grouped
+    /// into classes of identical channel sets, and only a class's first
+    /// member `f` (in agent order) reads the channel→agents index: it
+    /// marks the agents `j > f` of its channels' buckets into one scratch
+    /// row and reads the row back a word at a time, giving the class's
+    /// sorted neighbour list. Every later member `i` of the class overlaps
+    /// exactly the listed agents past `i`, so it copies that suffix
+    /// instead of marking again. The lists size the output exactly before
+    /// it is filled, and each is dropped after its class's last member.
+    fn overlapping_pairs(&self) -> Vec<(u32, u32)> {
         let n = self.agents.len();
-        if !(INDEXED_OVERLAP_MIN_AGENTS..=INDEXED_OVERLAP_MAX_AGENTS).contains(&n) {
-            let mut pending = Vec::new();
-            for i in 0..n {
-                for j in i + 1..n {
-                    if self.agents[i].set.overlaps(&self.agents[j].set) {
-                        pending.push((i, j));
+        assert!(u32::try_from(n).is_ok(), "agent ids must fit in u32");
+        let class_of = first_appearance_ids(self.agents.iter().map(|a| Some(a.set.as_slice())));
+        // Each class's first and last member.
+        let (mut firsts, mut lasts) = (Vec::new(), Vec::new());
+        for (i, &class) in class_of.iter().enumerate() {
+            if class == firsts.len() {
+                firsts.push(i);
+                lasts.push(i);
+            }
+            lasts[class] = i;
+        }
+        // Channel → agents index as flat arrays. Channel ids of any width
+        // are ranked by sorting the distinct ones, each class's channels
+        // become ranks, and a counting sort places every agent into its
+        // channels' buckets — in ascending agent order.
+        let set_of = |class: usize| self.agents[firsts[class]].set.as_slice();
+        let mut channels: Vec<u64> = (0..firsts.len()).flat_map(set_of).copied().collect();
+        channels.sort_unstable();
+        channels.dedup();
+        let ranks: Vec<Vec<usize>> = (0..firsts.len())
+            .map(|class| {
+                set_of(class)
+                    .iter()
+                    .map(|c| channels.binary_search(c).expect("every channel is ranked"))
+                    .collect()
+            })
+            .collect();
+        let mut starts = vec![0usize; channels.len() + 1];
+        for &class in &class_of {
+            for &r in &ranks[class] {
+                starts[r + 1] += 1;
+            }
+        }
+        for r in 0..channels.len() {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts.clone();
+        let mut holders = vec![0u32; starts[channels.len()]];
+        for (i, &class) in class_of.iter().enumerate() {
+            for &r in &ranks[class] {
+                holders[next[r]] = i as u32;
+                next[r] += 1;
+            }
+        }
+
+        // One byte per agent rather than one bit: marks are then plain
+        // independent stores, not read-modify-write chains on a shared
+        // word. Padded to whole 8-byte words for the read-back.
+        let mut row = vec![0u8; n.div_ceil(8) * 8];
+        let mut lists: Vec<Vec<u32>> = Vec::with_capacity(firsts.len());
+        let mut total = 0usize;
+        for (i, &class) in class_of.iter().enumerate() {
+            if firsts[class] == i {
+                for &r in &ranks[class] {
+                    let bucket = &holders[starts[r]..starts[r + 1]];
+                    for &j in &bucket[bucket.partition_point(|&j| j as usize <= i)..] {
+                        row[j as usize] = 1;
                     }
                 }
-            }
-            return pending;
-        }
-        let mut by_channel: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (i, agent) in self.agents.iter().enumerate() {
-            for &c in agent.set.as_slice() {
-                by_channel.entry(c).or_default().push(i as u32);
-            }
-        }
-        let mut bits = vec![0u64; (n * (n - 1) / 2).div_ceil(64)];
-        for bucket in by_channel.values() {
-            for (at, &i) in bucket.iter().enumerate() {
-                for &j in &bucket[at + 1..] {
-                    // Buckets are built in ascending agent order, so i < j.
-                    set_bit(&mut bits, pair_bit(i as usize, j as usize, n));
+                let from = (i + 1) / 8;
+                let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte word"));
+                let tail = &mut row[from * 8..];
+                let marked = tail
+                    .chunks_exact(8)
+                    .map(|w| word(w).count_ones())
+                    .sum::<u32>();
+                let mut list = Vec::with_capacity(marked as usize);
+                for (w, bytes) in (from as u32..).zip(tail.chunks_exact_mut(8)) {
+                    let mut bits = word(bytes);
+                    if bits != 0 {
+                        bytes.fill(0);
+                        while bits != 0 {
+                            list.push(w * 8 + bits.trailing_zeros() / 8);
+                            bits &= bits - 1;
+                        }
+                    }
                 }
+                lists.push(list);
+            }
+            let list = &lists[class];
+            total += list.len() - list.partition_point(|&j| j as usize <= i);
+        }
+
+        let mut pairs = Vec::with_capacity(total);
+        for (i, &class) in class_of.iter().enumerate() {
+            let list = &lists[class];
+            let from = list.partition_point(|&j| j as usize <= i);
+            pairs.extend(list[from..].iter().map(|&j| (i as u32, j)));
+            if lasts[class] == i {
+                lists[class] = Vec::new();
             }
         }
-        let mut pending = Vec::new();
-        let mut bit = 0usize;
-        for i in 0..n {
-            let mut j = i + 1;
-            while j < n {
-                // Whole-word skip keeps sparse populations linear in the
-                // bitset, not in n².
-                if bit.is_multiple_of(64) && bits[bit / 64] == 0 {
-                    let skip = 64.min(n - j);
-                    j += skip;
-                    bit += skip;
-                    continue;
-                }
-                if test_bit(&bits, bit) {
-                    pending.push((i, j));
-                }
-                j += 1;
-                bit += 1;
-            }
-        }
-        pending
+        pairs
     }
 
     /// Maps each agent to its schedule-sharing group: agents with equal
@@ -513,21 +586,7 @@ impl Simulation {
     /// new group — the invariant the prepare loop in
     /// [`Self::run_engine`] relies on.
     fn schedule_group_indices(&self) -> Vec<usize> {
-        let mut by_key: HashMap<u64, usize> = HashMap::new();
-        let mut next = 0usize;
-        self.agents
-            .iter()
-            .map(|a| {
-                let g = match a.share_key {
-                    Some(key) => *by_key.entry(key).or_insert(next),
-                    None => next,
-                };
-                if g == next {
-                    next += 1;
-                }
-                g
-            })
-            .collect()
+        first_appearance_ids(self.agents.iter().map(|a| a.share_key))
     }
 
     /// How many distinct schedules the arena engine prepares (and, when
@@ -566,8 +625,10 @@ impl Simulation {
     /// horizon (no extension would meet them), `HorizonExhausted`
     /// otherwise. A pure function of `(plan, pair, horizon)`, shared by
     /// the arena engine and the per-pair reference so their reports stay
-    /// bit-identical.
-    fn missed_pair(i: usize, j: usize, horizon: u64, plan: Option<&FaultPlan>) -> MissedPair {
+    /// bit-identical. The work list's `u32` pair widens to the report's
+    /// `usize` here.
+    fn missed_pair((i, j): (u32, u32), horizon: u64, plan: Option<&FaultPlan>) -> MissedPair {
+        let (i, j) = (i as usize, j as usize);
         let cause = match plan {
             None => MissCause::HorizonExhausted,
             Some(p) => {
@@ -603,7 +664,7 @@ impl Simulation {
                 first_meeting: MeetingMap::default(),
                 missed: pending
                     .into_iter()
-                    .map(|(i, j)| Self::missed_pair(i, j, horizon, plan.as_ref()))
+                    .map(|pair| Self::missed_pair(pair, horizon, plan.as_ref()))
                     .collect(),
                 horizon,
             };
@@ -613,14 +674,14 @@ impl Simulation {
         // and the resolve phase retires pairs whose joint window closed.
         let windows: Option<Vec<InPlayWindow>> =
             plan.map(|p| (0..n).map(|i| p.agent_window(i)).collect());
-        let mut departed: Vec<(usize, usize)> = Vec::new();
+        let mut departed: Vec<(u32, u32)> = Vec::new();
         let mut entries: Vec<((usize, usize), u64)> = Vec::new();
         // Pending-pair count per agent: agents at zero (disjoint sets, or
         // all their pairs already met) drop out of the block fill.
         let mut load = vec![0u32; n];
         for &(i, j) in &pending {
-            load[i] += 1;
-            load[j] += 1;
+            load[i as usize] += 1;
+            load[j as usize] += 1;
         }
         // Compiled-schedule reuse across blocks *and* across agents:
         // agents sharing a `share_key` share one prepared schedule. The
@@ -670,9 +731,9 @@ impl Simulation {
             // tagged `Departed` in the final report.
             if let Some(w) = &windows {
                 pending.retain(|&(i, j)| {
-                    if w[i].depart.min(w[j].depart) <= block_start {
-                        load[i] -= 1;
-                        load[j] -= 1;
+                    if w[i as usize].depart.min(w[j as usize].depart) <= block_start {
+                        load[i as usize] -= 1;
+                        load[j as usize] -= 1;
                         departed.push((i, j));
                         false
                     } else {
@@ -793,9 +854,9 @@ impl Simulation {
                         load[j] -= 1;
                     }
                 }
-                pending.retain(|&(i, j)| !test_bit(&met, pair_bit(i, j, n)));
+                pending.retain(|&(i, j)| !test_bit(&met, pair_bit(i as usize, j as usize, n)));
             } else {
-                let pair_tasks: Vec<&[(usize, usize)]> = pending
+                let pair_tasks: Vec<&[(u32, u32)]> = pending
                     .chunks(pool::chunk_size(pending.len(), threads))
                     .collect();
                 // The pair kernel: word-parallel over the planes, or the
@@ -812,7 +873,7 @@ impl Simulation {
                         chunk
                             .iter()
                             .map(|&(i, j)| {
-                                let (ri, rj) = (rows.row(i), rows.row(j));
+                                let (ri, rj) = (rows.row(i as usize), rows.row(j as usize));
                                 match layout {
                                     RowLayout::Planes { nbits, words } => {
                                         bitplane::first_match(ri, rj, nbits, words)
@@ -834,6 +895,7 @@ impl Simulation {
                 let mut outcomes = results.into_iter().flatten();
                 let track_met = !met.is_empty();
                 pending.retain(|&(i, j)| {
+                    let (i, j) = (i as usize, j as usize);
                     match outcomes.next().expect("one outcome per pending pair") {
                         Some(t) => {
                             entries.push(((i, j), t));
@@ -856,7 +918,7 @@ impl Simulation {
             first_meeting: MeetingMap::from_entries(entries),
             missed: pending
                 .into_iter()
-                .map(|(i, j)| Self::missed_pair(i, j, horizon, plan.as_ref()))
+                .map(|pair| Self::missed_pair(pair, horizon, plan.as_ref()))
                 .collect(),
             horizon,
         }
@@ -888,20 +950,20 @@ impl Simulation {
     ) -> MeetingReport {
         let pending = self.overlapping_pairs();
         let threads = cfg.effective_threads(pending.len());
-        let tasks: Vec<&[(usize, usize)]> = pending
+        let tasks: Vec<&[(u32, u32)]> = pending
             .chunks(pool::chunk_size(pending.len(), threads))
             .collect();
         let meetings: Vec<Vec<Option<u64>>> = pool::run_indexed(tasks, cfg, |_idx, chunk| {
             chunk
                 .iter()
-                .map(|&(i, j)| self.pair_first_meeting(i, j, horizon, plan))
+                .map(|&(i, j)| self.pair_first_meeting(i as usize, j as usize, horizon, plan))
                 .collect()
         });
         let mut entries = Vec::new();
         let mut missed = Vec::new();
         for (&(i, j), met) in pending.iter().zip(meetings.iter().flatten()) {
             match met {
-                Some(t) => entries.push(((i, j), *t)),
+                Some(t) => entries.push(((i as usize, j as usize), *t)),
                 None => missed.push((i, j)),
             }
         }
@@ -910,7 +972,7 @@ impl Simulation {
             first_meeting: MeetingMap::from_entries(entries),
             missed: missed
                 .into_iter()
-                .map(|(i, j)| Self::missed_pair(i, j, horizon, plan))
+                .map(|pair| Self::missed_pair(pair, horizon, plan))
                 .collect(),
             horizon,
         }
@@ -1262,31 +1324,6 @@ mod tests {
             );
         }
         assert_eq!(baseline, sim.run(horizon));
-    }
-
-    #[test]
-    fn indexed_overlap_matches_nested_scan() {
-        // A population pushed over the inverted-index threshold must
-        // produce the same pair list as the nested reference.
-        let mut agents = Vec::new();
-        for i in 0..300u64 {
-            let c1 = 1 + (i * 7) % 23;
-            let c2 = 1 + (i * 13) % 23;
-            let set: Vec<u64> = if c1 == c2 { vec![c1] } else { vec![c1, c2] };
-            agents.push(agent(Algorithm::Ours, 23, &set, 0, i));
-        }
-        let sim = Simulation::new(agents);
-        assert!(sim.agents().len() >= INDEXED_OVERLAP_MIN_AGENTS);
-        let indexed = sim.overlapping_pairs();
-        let mut nested = Vec::new();
-        for i in 0..sim.agents().len() {
-            for j in i + 1..sim.agents().len() {
-                if sim.agents()[i].set.overlaps(&sim.agents()[j].set) {
-                    nested.push((i, j));
-                }
-            }
-        }
-        assert_eq!(indexed, nested);
     }
 
     #[test]

@@ -5,15 +5,22 @@
 //! **bit-identically**, at 1, 2, and 8 worker threads, including the
 //! universes whose channel ids exceed the plane budget (where the auto
 //! layout must fall back to slotwise rows).
+//!
+//! Pair discovery — the engine's work list — is pinned separately
+//! against a nested `ChannelSet::overlaps` scan on populations that mix
+//! repeated and all-distinct channel sets, at channel ids up to 2⁴⁰.
 
 use blind_rendezvous::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rdv_core::schedule::CyclicSchedule;
 use rdv_sim::algo::AgentCtx;
 use rdv_sim::engine::{
     Agent, EngineConfig, MissCause, MissedPair, PlanePolicy, ResolveMode, Simulation,
 };
 use rdv_sim::ParallelConfig;
+use std::collections::{BTreeSet, HashSet};
 
 /// A random population description: per agent, a channel set (within a
 /// shared universe) and a wake slot.
@@ -112,6 +119,137 @@ fn reference(agents: &[Agent], horizon: u64) -> (MetEntries, Vec<MissedPair>) {
     (met, missed)
 }
 
+/// The set-overlap reference for discovery: every `(i, j)`, `i < j`,
+/// whose channel sets overlap, by the nested scan.
+fn nested_overlaps(agents: &[Agent]) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    for i in 0..agents.len() {
+        for j in i + 1..agents.len() {
+            if agents[i].set.overlaps(&agents[j].set) {
+                pairs.push((i, j));
+            }
+        }
+    }
+    pairs
+}
+
+/// An agent hopping cyclically over `channels`, rotated by `rot` — cheap
+/// for any channel width, and all discovery reads is the set.
+fn cyclic_agent(channels: Vec<u64>, rot: usize, wake: u64) -> Agent {
+    let set = ChannelSet::new(channels).expect("non-empty");
+    let mut period: Vec<Channel> = set.iter().collect();
+    period.rotate_left(rot % set.len());
+    Agent {
+        schedule: Box::new(CyclicSchedule::new(period).expect("non-empty")),
+        set,
+        wake,
+        share_key: None,
+    }
+}
+
+/// A discovery population of `size` agents on rotated cyclic schedules.
+/// Each agent, with probability `repeated_quarters / 4`, takes one of a
+/// small palette of repeated sets (so palette classes first appear at
+/// random positions, late ones included, with their members interleaved
+/// among other classes); the rest get fresh sets, distinct from every
+/// other fresh set. Channels are `base + 1 ..= base + 40`, so `base`
+/// near 2⁴⁰ exercises universes far wider than any dense index.
+fn discovery_population(size: usize, repeated_quarters: u64, base: u64, seed: u64) -> Vec<Agent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let draw = |rng: &mut StdRng| {
+        let k = rng.gen_range(1..=4usize);
+        let mut set = BTreeSet::new();
+        while set.len() < k {
+            set.insert(base + rng.gen_range(1..=40u64));
+        }
+        set.into_iter().collect::<Vec<u64>>()
+    };
+    let palette_len = rng.gen_range(1..=6usize);
+    let palette: Vec<Vec<u64>> = (0..palette_len).map(|_| draw(&mut rng)).collect();
+    let mut fresh: HashSet<Vec<u64>> = palette.iter().cloned().collect();
+    (0..size)
+        .map(|i| {
+            let channels = if rng.gen_range(0..4u64) < repeated_quarters {
+                palette[rng.gen_range(0..palette.len())].clone()
+            } else {
+                loop {
+                    let set = draw(&mut rng);
+                    if fresh.insert(set.clone()) {
+                        break set;
+                    }
+                }
+            };
+            cyclic_agent(channels, i, (i as u64 * 7) % 300)
+        })
+        .collect()
+}
+
+/// Population sizes discovery must handle: empty, one and two agents,
+/// around the old index threshold (255–257), and a few hundred.
+const DISCOVERY_SIZES: [usize; 7] = [0, 1, 2, 255, 256, 257, 600];
+
+#[test]
+fn discovery_copies_late_class_suffixes_across_words() {
+    // Classes X and Y alternate for 130 agents (past two 64-agent
+    // words); class L first appears at agent 130 and then interleaves
+    // with further X and Y members, so every later L member copies the
+    // part of L's list past its own index. L overlaps X but not Y, and a
+    // singleton Z at agent 150 overlaps everything. Run at small ids and
+    // at ids past 2⁴⁰.
+    for base in [0u64, 1 << 40] {
+        let (x, y, l) = ([1, 2], [3], [2, 7]);
+        let z = [1, 3, 7];
+        let shifted = |set: &[u64]| set.iter().map(|c| base + c).collect::<Vec<u64>>();
+        let mut sets: Vec<&[u64]> = (0..130)
+            .map(|i| if i % 2 == 0 { &x[..] } else { &y[..] })
+            .collect();
+        sets.extend((0..70).map(|i| match i % 3 {
+            0 => &l[..],
+            1 => &x[..],
+            _ => &y[..],
+        }));
+        sets.insert(150, &z);
+        let agents: Vec<Agent> = sets
+            .iter()
+            .map(|set| cyclic_agent(shifted(set), 0, 0))
+            .collect();
+        let sim = Simulation::new(agents);
+        let found: Vec<(usize, usize)> = sim.run(0).missed_pairs().collect();
+        assert_eq!(found, nested_overlaps(sim.agents()), "base {base}");
+        assert!(found.contains(&(130, 131)) && !found.contains(&(130, 132)));
+    }
+}
+
+#[test]
+fn discovered_pairs_run_identically_through_arena_and_per_pair_engines() {
+    // A mixed population whose palette classes interleave with distinct
+    // sets: the engine's `(u32, u32)` work list must produce the same
+    // report as the per-pair reference at every thread count.
+    let sim = Simulation::new(discovery_population(257, 2, 0, 91));
+    let horizon = 700;
+    let baseline = sim.run_per_pair_reference_with(horizon, &EngineConfig::default());
+    assert!(
+        !baseline.first_meeting.is_empty(),
+        "the population must meet"
+    );
+    for threads in [1usize, 2, 8] {
+        let cfg = EngineConfig {
+            parallel: ParallelConfig::with_threads(threads),
+            ..EngineConfig::default()
+        };
+        assert_eq!(
+            sim.run_engine(horizon, &cfg),
+            baseline,
+            "arena at {threads} threads"
+        );
+        assert_eq!(
+            sim.run_per_pair_reference_with(horizon, &cfg),
+            baseline,
+            "per-pair reference at {threads} threads"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -198,5 +336,30 @@ proptest! {
             let per_pair = sim.run_per_pair_reference(horizon, &ParallelConfig::with_threads(threads));
             prop_assert_eq!(&arena, &per_pair, "per-pair engine diverged at {} threads", threads);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn discovery_matches_the_nested_overlap_scan(
+        size_at in 0usize..DISCOVERY_SIZES.len(),
+        repeated_quarters in 0u64..=4,
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // A zero-horizon run reports the whole work list as missed, in
+        // pair order: exactly the discovered pairs.
+        let base = if wide { (1u64 << 40) - 20 } else { 0 };
+        let agents = discovery_population(DISCOVERY_SIZES[size_at], repeated_quarters, base, seed);
+        let sim = Simulation::new(agents);
+        let report = sim.run(0);
+        prop_assert!(report.first_meeting.is_empty());
+        prop_assert_eq!(
+            report.missed_pairs().collect::<Vec<_>>(),
+            nested_overlaps(sim.agents()),
+            "size {}, {}/4 repeated, base {}", DISCOVERY_SIZES[size_at], repeated_quarters, base
+        );
     }
 }
